@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ImageLine, ImageSegment, Pixel
+from .geometry import ImageLine, Pixel
 from .semantic_map import point_segment_distance
-
-DEFAULT_LIGHT_GATE = 40.0  # px
-DEFAULT_LANE_GATE = 25.0  # px
-DEFAULT_ICP_ITERS = 3
-MIN_LANE_SUPPORT = 6  # inlier pixels required to emit a LaneMatch
 
 
 class DegenerateInput(ValueError):
@@ -36,11 +31,10 @@ class LightMatch:
 class LaneMatch:
     lane_id: int
     fitted: ImageLine
-    projected_segment: ImageLine
     support: int
-    # Map-frame endpoints of the polyline segment behind projected_segment;
-    # lets the estimator re-project the segment at each linearization point.
-    segment_map: tuple | None = None
+    # Map-frame endpoints of the matched polyline segment; the estimator
+    # re-projects them at each linearization point.
+    segment_map: tuple
 
 
 def subsample_pixels(pixels, stride: int, bottom_fraction: float, height: float):
@@ -52,8 +46,7 @@ def subsample_pixels(pixels, stride: int, bottom_fraction: float, height: float)
     return kept[::stride]
 
 
-def associate_lights(detections, candidates, gate: float,
-                     icp_iters: int = DEFAULT_ICP_ITERS):
+def associate_lights(detections, candidates, gate: float, icp_iters: int):
     """Associate light detections with projected map lights.
 
     ICP estimates a 2D image-space translation aligning detections to the

@@ -5,7 +5,8 @@ Subcommands:
   compare <dirA> <dirB>                       paired summary-metric deltas
   dump-map --config <path-or-preset>          print the generated map JSON
 
-Exit codes: 0 success, 2 configuration error, 3 runtime estimator failure.
+Exit codes: 0 success, 2 configuration or artifact error, 3 run failure
+(one of RUN_FAILURES: the estimator failed, or no frame could be scored).
 """
 
 from __future__ import annotations
@@ -15,12 +16,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
 from . import evaluation, pipeline, simulator
 from .estimator import SingularNormalEquations
+from .liegroup import NearPiRotation
 from .semantic_map import save_map
 
 ARTIFACTS = ("frames.csv", "summary.json", "offset_convergence.csv", "config.json")
+# Failures of a run with a valid config; `semloc run` exits 3 on them.
+RUN_FAILURES = (SingularNormalEquations, NearPiRotation, np.linalg.LinAlgError,
+                evaluation.EmptyInput)
 
 
 class MissingArtifact(FileNotFoundError):
@@ -42,7 +49,6 @@ def _json_dumps(doc) -> str:
 
 
 def write_artifacts(result: pipeline.RunResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     errors = result.frame_errors
     burn_in = result.config.estimator.burn_in
     scored = [e for e in errors if e.t >= burn_in]
@@ -58,6 +64,7 @@ def write_artifacts(result: pipeline.RunResult, out_dir: Path) -> None:
         "final_offset_error_m": errors[-1].offset_err if errors else None,
         "histograms": evaluation.histograms(scored if scored else errors),
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "frames.csv").write_text(
         evaluation.frames_csv(errors, result.gps_present), encoding="utf-8"
     )
@@ -121,10 +128,10 @@ def main(argv=None) -> int:
             return 2
         try:
             result = pipeline.run_scenario(cfg)
-        except SingularNormalEquations as exc:
-            print(f"estimator failure: {exc}", file=sys.stderr)
+            write_artifacts(result, Path(args.out))
+        except RUN_FAILURES as exc:
+            print(f"run failure: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 3
-        write_artifacts(result, Path(args.out))
         print(f"wrote {', '.join(ARTIFACTS)} to {args.out}")
         return 0
 

@@ -1,14 +1,17 @@
 """Run configuration: JSON schema, strict parsing, and canned presets.
 
-Unknown keys are errors so that typos in tuning runs fail loudly. The
-resolved form written by the CLI (`to_dict`) is itself a valid config that
-reproduces the run byte for byte.
+The schema is the dataclass fields of the four sections (`Scenario`,
+`CameraModel`, `NoiseConfig`, `EstimatorParams`): every field is its own
+JSON key, except the few in `_CODECS` whose JSON form differs. Unknown keys
+are errors so that typos in tuning runs fail loudly. The resolved form
+written by the CLI (`to_dict`) is itself a valid config that reproduces the
+run byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,6 +62,14 @@ class RunConfig:
     estimator: EstimatorParams = field(default_factory=EstimatorParams)
 
 
+def _require_keys(d, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(d) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
 def _pose_to_cfg(pose: Pose) -> dict:
     yaw = float(np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0]))
     return {"translation": [float(x) for x in pose.translation], "yaw": yaw}
@@ -72,148 +83,80 @@ def _cfg_to_pose(d: dict) -> Pose:
     return Pose.from_rt(r, d.get("translation", [0.0, 0.0, 0.0]))
 
 
-def _require_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _as_is(value):
+    return value
 
 
-_SCENARIO_KEYS = {
-    "seed", "duration", "rate", "offset", "dropout_schedule",
-    "detection_noise_px", "gps_noise_trans_std", "gps_noise_rot_std",
-    "wheel_noise_v_std", "wheel_noise_w_std", "outlier_rate", "block_size",
-    "lane_spacing", "speed", "turn_radius",
-    "offset_drift_trans_std", "offset_drift_rot_std",
+def _floats(values) -> list:
+    return [float(x) for x in values]
+
+
+def _diag_codec(name: str):
+    return (f"{name}_diag", np.diag, lambda m: _floats(np.diag(m)))
+
+
+# Fields whose JSON form differs from the dataclass value:
+# section -> field -> (JSON key, decode, encode). Every other field is its
+# own key, with its value as is. Decoding leaves to each dataclass's
+# __post_init__ the normalisation it already does (tuples, float arrays).
+_CODECS = {
+    "scenario": {
+        "offset_true": ("offset", _cfg_to_pose, _pose_to_cfg),
+        "dropout_schedule": ("dropout_schedule", _as_is,
+                             lambda v: [list(iv) for iv in v]),
+    },
+    "camera": {
+        **{name: (name, float, _as_is) for name in ("fx", "fy", "cx", "cy")},
+        **{name: (name, int, _as_is) for name in ("width", "height")},
+        "t_cv": ("t_cv", Pose, lambda p: [_floats(row) for row in p.t]),
+    },
+    "noise": {
+        **{name: _diag_codec(name)
+           for name in ("q_c", "q_gm", "r_vg", "r_light", "r_lane", "r_wheel")},
+        "r_pseudo": ("r_pseudo", _as_is, _floats),
+    },
+    "estimator": {"cov0_diag": ("cov0_diag", _as_is, list)},
 }
 
-_NOISE_KEYS = {"q_c_diag", "q_gm_diag", "r_vg_diag", "r_light_diag",
-               "r_lane_diag", "r_wheel_diag", "r_pseudo"}
 
-_ESTIMATOR_KEYS = {
-    "tol", "max_iters", "light_gate", "lane_gate", "icp_iters",
-    "light_radius", "lane_radius", "subsample_stride", "bottom_fraction",
-    "min_lane_support", "min_line_angle_deg", "burn_in", "cov0_diag",
-}
-
-_CAMERA_KEYS = {"fx", "fy", "cx", "cy", "width", "height", "t_cv"}
+def _codecs(section: str, value) -> list:
+    """(field name, JSON key, decode, encode) for each field of a section."""
+    table = _CODECS[section]
+    return [(f.name, *table.get(f.name, (f.name, _as_is, _as_is)))
+            for f in fields(value)]
 
 
-def _scenario_from_cfg(d: dict) -> Scenario:
-    _require_keys(d, _SCENARIO_KEYS, "scenario")
-    kwargs = dict(d)
-    if "offset" in kwargs:
-        kwargs["offset_true"] = _cfg_to_pose(kwargs.pop("offset"))
-    if "dropout_schedule" in kwargs:
-        kwargs["dropout_schedule"] = tuple(
-            tuple(iv) for iv in kwargs["dropout_schedule"]
-        )
+def _decode_section(section: str, default, d):
+    by_key = {key: (name, decode) for name, key, decode, _ in _codecs(section, default)}
+    _require_keys(d, set(by_key), section)
     try:
-        return Scenario(**kwargs)
+        changes = {}
+        for key, value in d.items():
+            name, decode = by_key[key]
+            changes[name] = decode(value)
+        return replace(default, **changes)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario: {exc}") from exc
-
-
-def _noise_from_cfg(d: dict) -> NoiseConfig:
-    _require_keys(d, _NOISE_KEYS, "noise")
-    base = NoiseConfig.default()
-    try:
-        return NoiseConfig(
-            q_c=np.diag(d["q_c_diag"]) if "q_c_diag" in d else base.q_c,
-            q_gm=np.diag(d["q_gm_diag"]) if "q_gm_diag" in d else base.q_gm,
-            r_vg=np.diag(d["r_vg_diag"]) if "r_vg_diag" in d else base.r_vg,
-            r_light=np.diag(d["r_light_diag"]) if "r_light_diag" in d else base.r_light,
-            r_lane=np.diag(d["r_lane_diag"]) if "r_lane_diag" in d else base.r_lane,
-            r_wheel=np.diag(d["r_wheel_diag"]) if "r_wheel_diag" in d else base.r_wheel,
-            r_pseudo=np.array(d["r_pseudo"]) if "r_pseudo" in d else base.r_pseudo,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad noise: {exc}") from exc
-
-
-def _camera_from_cfg(d: dict) -> CameraModel:
-    _require_keys(d, _CAMERA_KEYS, "camera")
-    base = default_camera()
-    merged = base.to_dict()
-    merged.update(d)
-    try:
-        return CameraModel.from_dict(merged)
-    except ValueError as exc:
-        raise ConfigError(f"bad camera: {exc}") from exc
+        raise ConfigError(f"bad {section}: {exc}") from exc
 
 
 def from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(doc, {"schema_version", "scenario", "camera", "noise", "estimator"},
-                  "config")
+    sections = fields(RunConfig)
+    _require_keys(doc, {"schema_version", *(s.name for s in sections)}, "config")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    est_cfg = doc.get("estimator", {})
-    _require_keys(est_cfg, _ESTIMATOR_KEYS, "estimator")
-    if "cov0_diag" in est_cfg:
-        est_cfg = dict(est_cfg, cov0_diag=tuple(est_cfg["cov0_diag"]))
-    try:
-        estimator = EstimatorParams(**est_cfg)
-    except TypeError as exc:
-        raise ConfigError(f"bad estimator params: {exc}") from exc
-    return RunConfig(
-        scenario=_scenario_from_cfg(doc.get("scenario", {})),
-        camera=_camera_from_cfg(doc.get("camera", {})),
-        noise=_noise_from_cfg(doc.get("noise", {})),
-        estimator=estimator,
-    )
+    return RunConfig(**{
+        s.name: _decode_section(s.name, s.default_factory(), doc.get(s.name, {}))
+        for s in sections
+    })
 
 
 def to_dict(config: RunConfig) -> dict:
-    sc = config.scenario
-    est = config.estimator
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": {
-            "seed": sc.seed,
-            "duration": sc.duration,
-            "rate": sc.rate,
-            "offset": _pose_to_cfg(sc.offset_true),
-            "dropout_schedule": [list(iv) for iv in sc.dropout_schedule],
-            "detection_noise_px": sc.detection_noise_px,
-            "gps_noise_trans_std": sc.gps_noise_trans_std,
-            "gps_noise_rot_std": sc.gps_noise_rot_std,
-            "wheel_noise_v_std": sc.wheel_noise_v_std,
-            "wheel_noise_w_std": sc.wheel_noise_w_std,
-            "outlier_rate": sc.outlier_rate,
-            "block_size": sc.block_size,
-            "lane_spacing": sc.lane_spacing,
-            "speed": sc.speed,
-            "turn_radius": sc.turn_radius,
-            "offset_drift_trans_std": sc.offset_drift_trans_std,
-            "offset_drift_rot_std": sc.offset_drift_rot_std,
-        },
-        "camera": config.camera.to_dict(),
-        "noise": {
-            "q_c_diag": [float(x) for x in np.diag(config.noise.q_c)],
-            "q_gm_diag": [float(x) for x in np.diag(config.noise.q_gm)],
-            "r_vg_diag": [float(x) for x in np.diag(config.noise.r_vg)],
-            "r_light_diag": [float(x) for x in np.diag(config.noise.r_light)],
-            "r_lane_diag": [float(x) for x in np.diag(config.noise.r_lane)],
-            "r_wheel_diag": [float(x) for x in np.diag(config.noise.r_wheel)],
-            "r_pseudo": [float(x) for x in config.noise.r_pseudo],
-        },
-        "estimator": {
-            "tol": est.tol,
-            "max_iters": est.max_iters,
-            "light_gate": est.light_gate,
-            "lane_gate": est.lane_gate,
-            "icp_iters": est.icp_iters,
-            "light_radius": est.light_radius,
-            "lane_radius": est.lane_radius,
-            "subsample_stride": est.subsample_stride,
-            "bottom_fraction": est.bottom_fraction,
-            "min_lane_support": est.min_lane_support,
-            "min_line_angle_deg": est.min_line_angle_deg,
-            "burn_in": est.burn_in,
-            "cov0_diag": list(est.cov0_diag),
-        },
-    }
+    doc = {"schema_version": SCHEMA_VERSION}
+    for s in fields(config):
+        value = getattr(config, s.name)
+        doc[s.name] = {key: encode(getattr(value, name))
+                       for name, key, _, encode in _codecs(s.name, value)}
+    return doc
 
 
 def loads(text: str | bytes) -> RunConfig:

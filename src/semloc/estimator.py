@@ -11,7 +11,7 @@ All pose linearizations use the left perturbation T <- exp(dxi^) T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +22,14 @@ from .geometry import (
     HorizontalLine,
     ImageLine,
     NEAR_PLANE,
-    Pixel,
     line_x_at_y,
     camera_point,
-    pixel_jacobian_wrt_camera_point,
     point_projection_jacobian,
     project_point,
 )
 from .liegroup import (
     Pose,
     Twist,
-    act,
     adjoint,
     compose,
     exp_se3,
@@ -40,7 +37,6 @@ from .liegroup import (
     log_se3,
     se3_left_jacobian,
     se3_left_jacobian_inv,
-    so3_wedge,
 )
 from .semantic_map import SemanticMap
 
@@ -229,13 +225,10 @@ def _light_jacobian(match: LightMatch, t_vm: Pose, smap: SemanticMap,
 def _lane_segment_pixels(match: LaneMatch, t_vm: Pose, cam: CameraModel):
     """Endpoints of the projected lane line at the current pose.
 
-    When the match carries its generating map-frame segment, it is
-    re-projected each call (clipped at the near plane; clipping slides a
-    defining point along the same image line, so the line is unaffected).
-    Otherwise the stored projected segment is used as-is.
+    The match's map-frame segment is re-projected each call (clipped at the
+    near plane; clipping slides a defining point along the same image line,
+    so the line is unaffected).
     """
-    if match.segment_map is None:
-        return (match.projected_segment.p0, match.projected_segment.p1, None, None)
     pa = np.asarray(match.segment_map[0], dtype=float)
     pb = np.asarray(match.segment_map[1], dtype=float)
     qa = camera_point(pa, t_vm, cam)
@@ -252,8 +245,7 @@ def _lane_segment_pixels(match: LaneMatch, t_vm: Pose, cam: CameraModel):
     return (project_point(pa, t_vm, cam), project_point(pb, t_vm, cam), pa, pb)
 
 
-def lane_error(match: LaneMatch, y_rows, t_vm: Pose, smap: SemanticMap,
-               cam: CameraModel) -> np.ndarray:
+def lane_error(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel) -> np.ndarray:
     """Horizontal offsets between the fitted detection line and the projection."""
     y = np.asarray(y_rows, dtype=float).reshape(2)
     a, b, _, _ = _lane_segment_pixels(match, t_vm, cam)
@@ -263,15 +255,11 @@ def lane_error(match: LaneMatch, y_rows, t_vm: Pose, smap: SemanticMap,
     return x_fit - x_proj
 
 
-def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, smap: SemanticMap,
-                   cam: CameraModel):
+def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel):
     y = np.asarray(y_rows, dtype=float).reshape(2)
     a, b, pa, pb = _lane_segment_pixels(match, t_vm, cam)
     projected = ImageLine(a, b)
     e = line_x_at_y(match.fitted, y) - line_x_at_y(projected, y)
-    if pa is None:
-        # static projected segment: no pose dependence modelled
-        return e, np.zeros((2, STATE_DIM))
     dv = b.v - a.v
     du = b.u - a.u
     # d x(y) / d (a_u, a_v, b_u, b_v) for each requested row
@@ -379,7 +367,7 @@ def _measurement_terms(t_vm, varpi, t_gm, bundle: MeasurementBundle,
     r_lane_inv = np.linalg.inv(noise.r_lane)
     for match, y_rows in bundle.lane_matches:
         try:
-            e, h = _lane_jacobian(match, y_rows, t_vm, smap, cam)
+            e, h = _lane_jacobian(match, y_rows, t_vm, cam)
         except (BehindCamera, HorizontalLine, ValueError):
             continue
         terms.append((e, h, r_lane_inv, True))
@@ -404,6 +392,26 @@ def _objective(t_vm, varpi, t_gm, pred, p_inv, bundle, smap, cam, noise, weights
     return total
 
 
+def _normal_equations(t_vm, varpi, t_gm, pred, p_inv, bundle, smap, cam, noise):
+    """Gauss-Newton normal equations A dx = b at the operating point.
+
+    Returns (A, b, weights): the weights are the information matrices of
+    the measurement terms, Cauchy-weighted for the robust ones.
+    """
+    e_v, big_e = _prior_terms(t_vm, varpi, t_gm, pred)
+    terms = _measurement_terms(t_vm, varpi, t_gm, bundle, smap, cam, noise)
+    weights = [
+        cauchy_information(e, r_inv) if robust else r_inv
+        for e, _, r_inv, robust in terms
+    ]
+    a_mat = big_e.T @ p_inv @ big_e
+    b_vec = -(big_e.T @ p_inv @ e_v)
+    for (e, h, _, _), w in zip(terms, weights):
+        a_mat = a_mat + h.T @ w @ h
+        b_vec = b_vec - h.T @ w @ e
+    return a_mat, b_vec, weights
+
+
 def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
             smap: SemanticMap, cam: CameraModel, noise: NoiseConfig,
             opts: GaussNewtonOptions | None = None,
@@ -420,19 +428,9 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
     p_inv = 0.5 * (p_inv + p_inv.T)
     t_vm, varpi, t_gm = state_pred.t_vm, state_pred.varpi, state_pred.t_gm
 
-    a_mat = None
     for _ in range(opts.max_iters):
-        e_v, big_e = _prior_terms(t_vm, varpi, t_gm, state_pred)
-        terms = _measurement_terms(t_vm, varpi, t_gm, bundle, smap, cam, noise)
-        weights = [
-            cauchy_information(e, r_inv) if robust else r_inv
-            for e, _, r_inv, robust in terms
-        ]
-        a_mat = big_e.T @ p_inv @ big_e
-        b_vec = -(big_e.T @ p_inv @ e_v)
-        for (e, h, _, _), w in zip(terms, weights):
-            a_mat = a_mat + h.T @ w @ h
-            b_vec = b_vec - h.T @ w @ e
+        a_mat, b_vec, weights = _normal_equations(
+            t_vm, varpi, t_gm, state_pred, p_inv, bundle, smap, cam, noise)
         if np.linalg.cond(a_mat) > opts.cond_limit:
             raise SingularNormalEquations("normal equations are ill-conditioned")
         dx = np.linalg.solve(a_mat, b_vec)
@@ -459,12 +457,8 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
 
     # Posterior covariance from the final normal-equations matrix,
     # rebuilt at the accepted operating point.
-    e_v, big_e = _prior_terms(t_vm, varpi, t_gm, state_pred)
-    terms = _measurement_terms(t_vm, varpi, t_gm, bundle, smap, cam, noise)
-    a_mat = big_e.T @ p_inv @ big_e
-    for e, h, r_inv, robust in terms:
-        w = cauchy_information(e, r_inv) if robust else r_inv
-        a_mat = a_mat + h.T @ w @ h
+    a_mat, _, _ = _normal_equations(t_vm, varpi, t_gm, state_pred, p_inv,
+                                    bundle, smap, cam, noise)
     cov = np.linalg.inv(a_mat)
     cov = 0.5 * (cov + cov.T)
     return EstimatorState(t_vm, varpi, t_gm, cov)

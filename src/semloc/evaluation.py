@@ -94,7 +94,7 @@ def histograms(errors) -> dict:
 def frames_csv(errors, gps_present) -> str:
     """Per-frame CSV: t,longitudinal,lateral,heading,offset_err,gps_present."""
     lines = ["t,longitudinal,lateral,heading,offset_err,gps_present"]
-    for err, present in zip(errors, gps_present):
+    for err, present in zip(errors, gps_present, strict=True):
         lines.append(
             f"{err.t:.17g},{err.longitudinal:.17g},{err.lateral:.17g},"
             f"{err.heading:.17g},{err.offset_err:.17g},{int(present)}"

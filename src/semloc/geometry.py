@@ -81,29 +81,6 @@ class CameraModel:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-            "t_cv": [list(row) for row in self.t_cv.t],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraModel":
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-            t_cv=Pose(np.array(d["t_cv"], dtype=float)),
-        )
-
 
 def camera_point(p_m, t_vm: Pose, cam: CameraModel) -> np.ndarray:
     """Map-frame point expressed in the camera frame."""

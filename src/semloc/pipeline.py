@@ -9,7 +9,7 @@ import numpy as np
 from . import association, estimator, evaluation, simulator
 from .association import LaneMatch
 from .config import RunConfig
-from .geometry import BehindCamera, ImageLine, Pixel, project_point, project_polyline
+from .geometry import BehindCamera, project_point, project_polyline
 from .liegroup import Pose, inverse
 from .semantic_map import SemanticMap, nearby_lanes, nearby_lights
 
@@ -18,7 +18,7 @@ from .semantic_map import SemanticMap, nearby_lanes, nearby_lights
 class RunResult:
     config: RunConfig
     frame_errors: list
-    gps_present: list
+    gps_present: list  # one flag per frame_errors row
     states: list
     min_cov_eigenvalues: list
     cov_asymmetry: list
@@ -108,7 +108,6 @@ def associate_frame(sensor, state_pred, smap, cam, params, dt):
             LaneMatch(
                 lane_id=lane_id,
                 fitted=fitted,
-                projected_segment=ImageLine(best.p0, best.p1),
                 support=len(support),
                 segment_map=seg_map,
             ),
@@ -144,7 +143,6 @@ def run_scenario(config: RunConfig) -> RunResult:
     state = None
     for k, frame in enumerate(truth):
         sensor = simulator.simulate_frame(frame, sc, smap, cam, k, offsets[k])
-        gps_present.append(sensor.gps is not None)
         if state is None:
             if sensor.gps is None:
                 continue  # wait for the first GPS fix to bootstrap
@@ -168,6 +166,7 @@ def run_scenario(config: RunConfig) -> RunResult:
         lon, lat, heading = evaluation.decompose_error(state.t_vm, frame.t_vm_true)
         off = evaluation.offset_error(state.t_gm, offsets[k])
         frame_errors.append(evaluation.FrameError(frame.t, lon, lat, heading, off))
+        gps_present.append(sensor.gps is not None)
         states.append(state)
         eigs = np.linalg.eigvalsh(state.cov)
         min_eigs.append(float(eigs.min()))

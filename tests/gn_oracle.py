@@ -39,7 +39,7 @@ def _residual_blocks(pred, bundle, smap, cam, d):
         blocks.append((e, "light"))
     for match, y_rows in bundle.lane_matches:
         try:
-            e = est.lane_error(match, y_rows, t_vm, smap, cam)
+            e = est.lane_error(match, y_rows, t_vm, cam)
         except (BehindCamera, HorizontalLine, ValueError):
             raise RuntimeError("term structure changed")
         blocks.append((e, "lane"))

@@ -30,7 +30,7 @@ def test_subsample_stride():
 def test_associate_exact_hit():
     det = [Pixel(100.0, 200.0)]
     cand = [(7, Pixel(100.0, 200.0))]
-    matches, outliers = assoc.associate_lights(det, cand, gate=10.0)
+    matches, outliers = assoc.associate_lights(det, cand, gate=10.0, icp_iters=3)
     assert len(matches) == 1 and not outliers
     assert matches[0].light_id == 7
     assert matches[0].detection == det[0]
@@ -50,7 +50,8 @@ def test_associate_icp_recovers_constant_shift(rng):
                [(100, 100), (300, 120), (500, 90), (700, 140), (900, 110)]]
     candidates = [(i, p) for i, p in enumerate(cand_px)]
     detections = [Pixel(p.u + 30.0, p.v) for p in cand_px]
-    matches, outliers = assoc.associate_lights(detections, candidates, gate=20.0)
+    matches, outliers = assoc.associate_lights(detections, candidates, gate=20.0,
+                                             icp_iters=3)
     assert not outliers and len(matches) == 5
     # oracle: exhaustive one-to-one assignment minimizing total distance
     best = min(
@@ -68,9 +69,9 @@ def test_associate_icp_recovers_constant_shift(rng):
 
 
 def test_associate_empty_inputs():
-    assert assoc.associate_lights([], [(1, Pixel(0, 0))], 10.0) == ([], [])
+    assert assoc.associate_lights([], [(1, Pixel(0, 0))], 10.0, 3) == ([], [])
     det = [Pixel(1.0, 2.0)]
-    matches, outliers = assoc.associate_lights(det, [], 10.0)
+    matches, outliers = assoc.associate_lights(det, [], 10.0, 3)
     assert matches == [] and outliers == det
 
 

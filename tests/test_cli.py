@@ -1,4 +1,6 @@
+import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from semloc import cli
 from semloc import config as cm
 from semloc import liegroup as lg
+from semloc import pipeline
+from semloc.simulator import Scenario
 
 
 # --- configuration -----------------------------------------------------------
@@ -17,6 +21,88 @@ def test_config_round_trip():
     again = cm.from_dict(doc)
     assert cm.to_dict(again) == doc
     assert np.allclose(cfg.scenario.offset_true.translation, [2.0, 2.0, 0.0])
+
+
+# A non-default value for every field of every section, in JSON form.
+EVERY_FIELD = {
+    "scenario": {
+        "seed": 7, "duration": 4.0, "rate": 5.0,
+        "offset": {"translation": [1.0, -0.5, 0.0], "yaw": 0.25},
+        "dropout_schedule": [[1.0, 2.0]],
+        "detection_noise_px": 2.0, "gps_noise_trans_std": 0.2,
+        "gps_noise_rot_std": 0.02, "wheel_noise_v_std": 0.1,
+        "wheel_noise_w_std": 0.01, "outlier_rate": 0.1, "block_size": 100.0,
+        "lane_spacing": 3.0, "lights_per_intersection": 2, "light_height": 6.0,
+        "light_corner_offset": 5.0, "speed": 7.0, "turn_radius": 9.0,
+        "lane_sample_step": 0.5, "max_detection_range": 50.0,
+        "light_visibility_radius": 90.0, "lane_visibility_radius": 40.0,
+        "offset_drift_trans_std": 0.01, "offset_drift_rot_std": 0.001,
+    },
+    "camera": {
+        "fx": 600.0, "fy": 610.0, "cx": 600.0, "cy": 350.0,
+        "width": 1200, "height": 700,
+        "t_cv": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.6],
+                 [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    },
+    "noise": {
+        "q_c_diag": [1.0, 1e-6, 1e-6, 1e-6, 1e-6, 0.2],
+        "q_gm_diag": [2e-6, 2e-6, 2e-6, 2e-8, 2e-8, 2e-8],
+        "r_vg_diag": [0.1, 0.1, 0.1, 2e-4, 2e-4, 2e-4],
+        "r_light_diag": [9.0, 9.0], "r_lane_diag": [3.0, 3.0],
+        "r_wheel_diag": [1e-3, 1e-5], "r_pseudo": [2e-4, 2e-4, 2e-4, 2e-4],
+    },
+    "estimator": {
+        "tol": 1e-7, "max_iters": 8, "light_gate": 30.0, "lane_gate": 20.0,
+        "icp_iters": 2, "light_radius": 90.0, "lane_radius": 45.0,
+        "subsample_stride": 3, "bottom_fraction": 0.6, "min_lane_support": 5,
+        "min_line_angle_deg": 15.0, "burn_in": 5.0, "cov0_diag": [2.0] * 18,
+    },
+}
+
+
+def test_config_round_trip_sets_every_field():
+    doc = {"schema_version": cm.SCHEMA_VERSION, **copy.deepcopy(EVERY_FIELD)}
+    cfg = cm.from_dict(doc)
+    echoed = cm.to_dict(cfg)
+    default = cm.to_dict(cm.RunConfig())
+    for section in fields(cfg):
+        # one JSON key per dataclass field, each set away from its default
+        assert len(echoed[section.name]) == len(fields(getattr(cfg, section.name)))
+        for key, value in echoed[section.name].items():
+            assert value != default[section.name][key], f"{section.name}.{key}"
+    assert echoed == doc
+    assert cm.to_dict(cm.from_dict(echoed)) == echoed
+
+
+def test_config_json_reruns_byte_for_byte(tmp_path):
+    scenario = Scenario(seed=3, duration=3.0, lane_sample_step=0.5, light_height=6.0)
+    first = tmp_path / "first"
+    cli.write_artifacts(pipeline.run_scenario(cm.RunConfig(scenario=scenario)), first)
+    again = tmp_path / "again"
+    assert cli.main(["run", "--config", str(first / "config.json"),
+                     "--out", str(again)]) == 0
+    assert (again / "frames.csv").read_bytes() == (first / "frames.csv").read_bytes()
+    # the two fields matter: with their defaults the run differs
+    plain = tmp_path / "plain"
+    cli.write_artifacts(pipeline.run_scenario(cm.RunConfig(
+        scenario=Scenario(seed=3, duration=3.0))), plain)
+    assert (plain / "frames.csv").read_bytes() != (first / "frames.csv").read_bytes()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "dropout_schedule", 5),
+    ("estimator", "cov0_diag", 5),
+    ("scenario", "offset", 5),
+    (None, "scenario", []),
+], ids=["dropout_schedule", "cov0_diag", "offset", "scenario"])
+def test_config_malformed_value(tmp_path, section, key, value):
+    doc = cm.preset("nominal")
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(cm.ConfigError):
+        cm.from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_config_unknown_key_rejected():
@@ -149,3 +235,22 @@ def test_cli_dropout_gps_fraction(tmp_path):
     frames = (out / "frames.csv").read_text().strip().split("\n")[1:]
     present = [line.rsplit(",", 1)[1] for line in frames]
     assert present.count("0") == 100
+
+
+def test_frames_align_with_gps_flags_after_late_bootstrap(tmp_path):
+    # no GPS in the first second: rows start at the bootstrap fix, t = 1.0
+    cfg_path = short_config(tmp_path, duration=3.0, dropout_schedule=[[0.0, 1.0]])
+    out = tmp_path / "late"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = (out / "frames.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 20
+    assert rows[0].split(",")[0] == "1"
+    assert rows[0].rsplit(",", 1)[1] == "1"
+
+
+def test_cli_run_without_gps_fix_exits_3(tmp_path, capsys):
+    cfg_path = short_config(tmp_path, duration=2.0, dropout_schedule=[[0.0, 2.0]])
+    out = tmp_path / "never"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "EmptyInput" in capsys.readouterr().err
+    assert not any((out / name).exists() for name in cli.ARTIFACTS)

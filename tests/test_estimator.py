@@ -158,14 +158,14 @@ def test_lane_error_zero_and_shift(rng):
     projected = ImageLine(seg.p0, seg.p1)
     seg_map = (lane.vertices[seg.source_index], lane.vertices[seg.source_index + 1])
     y_rows = np.sort([seg.p0.v, seg.p1.v]) @ np.array([[0.7, 0.2], [0.3, 0.8]])
-    exact = LaneMatch(lane.id, projected, projected, 10, seg_map)
-    assert np.abs(est.lane_error(exact, y_rows, t_vm, smap, CAM)).max() < 1e-9
+    exact = LaneMatch(lane.id, projected, 10, seg_map)
+    assert np.abs(est.lane_error(exact, y_rows, t_vm, CAM)).max() < 1e-9
     shifted = LaneMatch(
         lane.id,
         ImageLine(Pixel(seg.p0.u + 5.0, seg.p0.v), Pixel(seg.p1.u + 5.0, seg.p1.v)),
-        projected, 10, seg_map,
+        10, seg_map,
     )
-    assert np.allclose(est.lane_error(shifted, y_rows, t_vm, smap, CAM),
+    assert np.allclose(est.lane_error(shifted, y_rows, t_vm, CAM),
                        [5.0, 5.0], atol=1e-9)
 
 
@@ -183,7 +183,7 @@ def test_lane_error_noiseless_simulation():
                                       EstimatorParams(), scenario.dt)
     assert bundle.lane_matches
     for match, y_rows in bundle.lane_matches:
-        e = est.lane_error(match, y_rows, frame.t_vm_true, smap, CAM)
+        e = est.lane_error(match, y_rows, frame.t_vm_true, CAM)
         assert np.abs(e).max() < 1e-3
 
 
@@ -346,7 +346,7 @@ def test_measurement_bundle_validation():
     from semloc.association import LaneMatch
     from semloc.geometry import ImageLine
     line = ImageLine(Pixel(0.0, 0.0), Pixel(0.0, 10.0))
-    match = LaneMatch(0, line, line, 6)
+    match = LaneMatch(0, line, 6, (np.zeros(3), np.ones(3)))
     with pytest.raises(ValueError):
         est.MeasurementBundle(dt=0.1, lane_matches=((match, [5.0, 5.0]),))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semloc import config as cm
 from semloc import geometry as geo
 from semloc import liegroup as lg
 from semloc.simulator import default_camera
@@ -138,7 +139,8 @@ def test_point_projection_jacobian_matches_fd(rng):
 
 def test_camera_model_round_trip():
     cam = default_camera()
-    again = geo.CameraModel.from_dict(cam.to_dict())
+    doc = cm.to_dict(cm.RunConfig(camera=cam))
+    again = cm.from_dict(doc).camera
     assert again.fx == cam.fx and again.cy == cam.cy
     assert np.allclose(again.t_cv.t, cam.t_cv.t)
 
