@@ -26,6 +26,14 @@ _CH_WHEEL = 3
 _CH_OUTLIER = 4
 _CH_DRIFT = 5
 
+# World and sensor geometry shared by every scenario.
+LIGHT_HEIGHT = 5.0  # m
+LIGHT_CORNER_OFFSET = 6.0  # m from the intersection center, per axis
+LANE_SAMPLE_STEP = 1.0  # m between synthesized lane pixels
+MAX_DETECTION_RANGE = 60.0  # m
+LIGHT_VISIBILITY_RADIUS = 100.0  # m
+LANE_VISIBILITY_RADIUS = 50.0  # m
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -42,15 +50,8 @@ class Scenario:
     outlier_rate: float = 0.0
     block_size: float = 120.0  # m
     lane_spacing: float = 3.5  # m between adjacent boundary lines
-    lights_per_intersection: int = 4
-    light_height: float = 5.0  # m
-    light_corner_offset: float = 6.0  # m
     speed: float = 8.0  # m/s
     turn_radius: float = 8.0  # m
-    lane_sample_step: float = 1.0  # m between synthesized lane pixels
-    max_detection_range: float = 60.0  # m
-    light_visibility_radius: float = 100.0  # m
-    lane_visibility_radius: float = 50.0  # m
     # Slow offset drift (random walk std per sqrt-second); off by default
     # since the true offset is effectively constant over one run.
     offset_drift_trans_std: float = 0.0
@@ -130,16 +131,13 @@ def generate_world(scenario: Scenario) -> SemanticMap:
 
     lights = []
     light_id = 1000
-    d = scenario.light_corner_offset
+    d = LIGHT_CORNER_OFFSET
     corners = [(-d, -d), (d, -d), (-d, d), (d, d)]
     for ix in (0.0, b):
         for iy in (0.0, b):
-            for cx, cy in corners[: scenario.lights_per_intersection]:
+            for cx, cy in corners:
                 lights.append(
-                    TrafficLight(
-                        light_id,
-                        np.array([ix + cx, iy + cy, scenario.light_height]),
-                    )
+                    TrafficLight(light_id, np.array([ix + cx, iy + cy, LIGHT_HEIGHT]))
                 )
                 light_id += 1
     return SemanticMap(tuple(lanes), tuple(lights))
@@ -245,8 +243,8 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
 
     light_rng = _rng(scenario, frame_index, _CH_LIGHT)
     light_pixels = []
-    for light in nearby_lights(smap, origin, scenario.light_visibility_radius):
-        px = _visible_pixel(light.position, t_vm, cam, scenario.light_visibility_radius)
+    for light in nearby_lights(smap, origin, LIGHT_VISIBILITY_RADIUS):
+        px = _visible_pixel(light.position, t_vm, cam, LIGHT_VISIBILITY_RADIUS)
         if px is None:
             continue
         noise = light_rng.normal(0.0, scenario.detection_noise_px, 2)
@@ -257,17 +255,17 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
 
     lane_rng = _rng(scenario, frame_index, _CH_LANE)
     lane_pixels = []
-    for lane in nearby_lanes(smap, origin, scenario.lane_visibility_radius):
+    for lane in nearby_lanes(smap, origin, LANE_VISIBILITY_RADIUS):
         verts = lane.vertices
         for i in range(len(verts) - 1):
             a, b = verts[i], verts[i + 1]
             seg_len = np.linalg.norm(b - a)
-            n_samples = max(2, int(np.ceil(seg_len / scenario.lane_sample_step)) + 1)
+            n_samples = max(2, int(np.ceil(seg_len / LANE_SAMPLE_STEP)) + 1)
             for s in np.linspace(0.0, 1.0, n_samples, endpoint=(i == len(verts) - 2)):
                 p = a + s * (b - a)
-                if np.linalg.norm(p - origin) > scenario.max_detection_range:
+                if np.linalg.norm(p - origin) > MAX_DETECTION_RANGE:
                     continue
-                px = _visible_pixel(p, t_vm, cam, scenario.max_detection_range)
+                px = _visible_pixel(p, t_vm, cam, MAX_DETECTION_RANGE)
                 if px is None:
                     continue
                 noise = lane_rng.normal(0.0, scenario.detection_noise_px, 2)

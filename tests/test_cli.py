@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,10 +32,7 @@ EVERY_FIELD = {
         "detection_noise_px": 2.0, "gps_noise_trans_std": 0.2,
         "gps_noise_rot_std": 0.02, "wheel_noise_v_std": 0.1,
         "wheel_noise_w_std": 0.01, "outlier_rate": 0.1, "block_size": 100.0,
-        "lane_spacing": 3.0, "lights_per_intersection": 2, "light_height": 6.0,
-        "light_corner_offset": 5.0, "speed": 7.0, "turn_radius": 9.0,
-        "lane_sample_step": 0.5, "max_detection_range": 50.0,
-        "light_visibility_radius": 90.0, "lane_visibility_radius": 40.0,
+        "lane_spacing": 3.0, "speed": 7.0, "turn_radius": 9.0,
         "offset_drift_trans_std": 0.01, "offset_drift_rot_std": 0.001,
     },
     "camera": {
@@ -75,17 +72,18 @@ def test_config_round_trip_sets_every_field():
 
 
 def test_config_json_reruns_byte_for_byte(tmp_path):
-    scenario = Scenario(seed=3, duration=3.0, lane_sample_step=0.5, light_height=6.0)
+    scenario = Scenario(seed=3, duration=3.0)
     first = tmp_path / "first"
-    cli.write_artifacts(pipeline.run_scenario(cm.RunConfig(scenario=scenario)), first)
+    cli.write_artifacts(pipeline.run_scenario(cm.RunConfig(
+        scenario=replace(scenario, lane_spacing=3.0),
+        estimator=cm.EstimatorParams(subsample_stride=3))), first)
     again = tmp_path / "again"
     assert cli.main(["run", "--config", str(first / "config.json"),
                      "--out", str(again)]) == 0
     assert (again / "frames.csv").read_bytes() == (first / "frames.csv").read_bytes()
     # the two fields matter: with their defaults the run differs
     plain = tmp_path / "plain"
-    cli.write_artifacts(pipeline.run_scenario(cm.RunConfig(
-        scenario=Scenario(seed=3, duration=3.0))), plain)
+    cli.write_artifacts(pipeline.run_scenario(cm.RunConfig(scenario=scenario)), plain)
     assert (plain / "frames.csv").read_bytes() != (first / "frames.csv").read_bytes()
 
 
@@ -246,6 +244,9 @@ def test_frames_align_with_gps_flags_after_late_bootstrap(tmp_path):
     assert len(rows) == 20
     assert rows[0].split(",")[0] == "1"
     assert rows[0].rsplit(",", 1)[1] == "1"
+    # the fraction counts the same rows, so the outage before bootstrap is not in it
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gps_present_fraction"] == 1.0
 
 
 def test_cli_run_without_gps_fix_exits_3(tmp_path, capsys):

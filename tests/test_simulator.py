@@ -16,7 +16,7 @@ def test_world_counts_single_block():
     seen = set()
     for light in smap.lights:
         x, y, z = light.position
-        assert z == scenario.light_height
+        assert z == sim.LIGHT_HEIGHT
         seen.add((round(x / 60.0) * 60.0, round(y / 60.0) * 60.0))
     assert seen == corners
 
