@@ -9,7 +9,6 @@ the live GPS frame and the map frame.
 from .liegroup import (  # noqa: F401
     NearPiRotation,
     Pose,
-    Rotation,
     Twist,
     act,
     compose,
@@ -22,6 +21,7 @@ from .liegroup import (  # noqa: F401
 from .geometry import (  # noqa: F401
     BehindCamera,
     CameraModel,
+    DegenerateLine,
     HorizontalLine,
     ImageLine,
     Pixel,

@@ -52,6 +52,10 @@ class EstimatorParams:
         if len(cov0) != 18 or any(x <= 0 for x in cov0):
             raise ConfigError("cov0_diag must be 18 positive variances")
         object.__setattr__(self, "cov0_diag", cov0)
+        if self.subsample_stride < 1 or self.min_lane_support < 1:
+            raise ConfigError("subsample_stride and min_lane_support must be >= 1")
+        if min(self.light_gate, self.lane_gate, self.light_radius, self.lane_radius) <= 0:
+            raise ConfigError("gates and radii must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,9 @@ def _diag_codec(name: str):
 
 # Fields whose JSON form differs from the dataclass value:
 # section -> field -> (JSON key, decode, encode). Every other field is its
-# own key, with its value as is. Decoding leaves to each dataclass's
-# __post_init__ the normalisation it already does (tuples, float arrays).
+# own key, with its value as is once it has its default's type
+# (`_check_plain`). Decoding leaves to each dataclass's __post_init__ the
+# normalisation and range checks it already does (tuples, float arrays).
 _CODECS = {
     "scenario": {
         "offset_true": ("offset", _cfg_to_pose, _pose_to_cfg),
@@ -126,6 +131,14 @@ def _codecs(section: str, value) -> list:
             for f in fields(value)]
 
 
+def _check_plain(default, value):
+    """A plain field's value must have its default's type; an int may stand
+    for a float, and a bool never stands for a number."""
+    kind = (int, float) if type(default) is float else type(default)
+    if not isinstance(value, kind) or isinstance(value, bool) != isinstance(default, bool):
+        raise TypeError(f"expected {type(default).__name__}, got {value!r}")
+
+
 def _decode_section(section: str, default, d):
     by_key = {key: (name, decode) for name, key, decode, _ in _codecs(section, default)}
     _require_keys(d, set(by_key), section)
@@ -133,6 +146,8 @@ def _decode_section(section: str, default, d):
         changes = {}
         for key, value in d.items():
             name, decode = by_key[key]
+            if name not in _CODECS[section]:
+                _check_plain(getattr(default, name), value)
             changes[name] = decode(value)
         return replace(default, **changes)
     except (TypeError, ValueError) as exc:

@@ -19,6 +19,7 @@ from .association import LaneMatch, LightMatch
 from .geometry import (
     BehindCamera,
     CameraModel,
+    DegenerateLine,
     HorizontalLine,
     ImageLine,
     NEAR_PLANE,
@@ -41,6 +42,8 @@ from .liegroup import (
 from .semantic_map import SemanticMap
 
 STATE_DIM = 18
+MAX_HALVINGS = 5  # line-search step halvings per GN iteration
+COND_LIMIT = 1e12  # largest accepted condition number of the normal equations
 
 
 class SingularNormalEquations(RuntimeError):
@@ -133,8 +136,6 @@ class MeasurementBundle:
 class GaussNewtonOptions:
     tol: float = 1e-6
     max_iters: int = 10
-    max_halvings: int = 5
-    cond_limit: float = 1e12
 
 
 def process_covariance(q_c: np.ndarray, dt: float) -> np.ndarray:
@@ -368,7 +369,7 @@ def _measurement_terms(t_vm, varpi, t_gm, bundle: MeasurementBundle,
     for match, y_rows in bundle.lane_matches:
         try:
             e, h = _lane_jacobian(match, y_rows, t_vm, cam)
-        except (BehindCamera, HorizontalLine, ValueError):
+        except (BehindCamera, HorizontalLine, DegenerateLine):
             continue
         terms.append((e, h, r_lane_inv, True))
     if bundle.wheel is not None:
@@ -380,11 +381,10 @@ def _measurement_terms(t_vm, varpi, t_gm, bundle: MeasurementBundle,
     return terms
 
 
-def _objective(t_vm, varpi, t_gm, pred, p_inv, bundle, smap, cam, noise, weights):
+def _objective(prior, terms, p_inv, weights):
     """GN objective with the Cauchy weights frozen at the linearization point."""
-    e_v, _ = _prior_terms(t_vm, varpi, t_gm, pred)
+    e_v, _ = prior
     total = 0.5 * float(e_v @ p_inv @ e_v)
-    terms = _measurement_terms(t_vm, varpi, t_gm, bundle, smap, cam, noise)
     if len(terms) != len(weights):
         return np.inf  # a term dropped out at the trial point; reject the step
     for (e, _, _, _), w in zip(terms, weights):
@@ -392,14 +392,13 @@ def _objective(t_vm, varpi, t_gm, pred, p_inv, bundle, smap, cam, noise, weights
     return total
 
 
-def _normal_equations(t_vm, varpi, t_gm, pred, p_inv, bundle, smap, cam, noise):
+def _normal_equations(prior, terms, p_inv):
     """Gauss-Newton normal equations A dx = b at the operating point.
 
     Returns (A, b, weights): the weights are the information matrices of
     the measurement terms, Cauchy-weighted for the robust ones.
     """
-    e_v, big_e = _prior_terms(t_vm, varpi, t_gm, pred)
-    terms = _measurement_terms(t_vm, varpi, t_gm, bundle, smap, cam, noise)
+    e_v, big_e = prior
     weights = [
         cauchy_information(e, r_inv) if robust else r_inv
         for e, _, r_inv, robust in terms
@@ -420,45 +419,45 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
 
     Semantic-cue information matrices are replaced by their Cauchy-weighted
     versions, re-evaluated each iteration. The step is halved (up to
-    opts.max_halvings) whenever it would increase the frozen-weight
-    objective, so accepted iterates never increase it.
+    MAX_HALVINGS times) whenever it would increase the frozen-weight
+    objective, so accepted iterates never increase it. Each visited state is
+    evaluated once: an accepted trial's terms are the next linearization point.
     """
     opts = opts or GaussNewtonOptions()
     p_inv = np.linalg.inv(state_pred.cov)
     p_inv = 0.5 * (p_inv + p_inv.T)
-    t_vm, varpi, t_gm = state_pred.t_vm, state_pred.varpi, state_pred.t_gm
 
+    def evaluate(x):
+        return (_prior_terms(*x, state_pred),
+                _measurement_terms(*x, bundle, smap, cam, noise))
+
+    x = (state_pred.t_vm, state_pred.varpi, state_pred.t_gm)
+    prior, terms = evaluate(x)
     for _ in range(opts.max_iters):
-        a_mat, b_vec, weights = _normal_equations(
-            t_vm, varpi, t_gm, state_pred, p_inv, bundle, smap, cam, noise)
-        if np.linalg.cond(a_mat) > opts.cond_limit:
+        a_mat, b_vec, weights = _normal_equations(prior, terms, p_inv)
+        if np.linalg.cond(a_mat) > COND_LIMIT:
             raise SingularNormalEquations("normal equations are ill-conditioned")
         dx = np.linalg.solve(a_mat, b_vec)
 
-        j0 = _objective(t_vm, varpi, t_gm, state_pred, p_inv, bundle, smap,
-                        cam, noise, weights)
+        j0 = _objective(prior, terms, p_inv, weights)
         alpha = 1.0
-        accepted = False
-        for _ in range(opts.max_halvings + 1):
-            trial = apply_perturbation(t_vm, varpi, t_gm, alpha * dx)
-            j1 = _objective(*trial, state_pred, p_inv, bundle, smap, cam,
-                            noise, weights)
+        for _ in range(MAX_HALVINGS + 1):
+            trial = apply_perturbation(*x, alpha * dx)
+            trial_prior, trial_terms = evaluate(trial)
+            j1 = _objective(trial_prior, trial_terms, p_inv, weights)
             if j1 <= j0 + 1e-15:
-                t_vm, varpi, t_gm = trial
-                accepted = True
-                if diagnostics is not None:
-                    diagnostics.append((j0, j1))
                 break
             alpha *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no step size decreased the objective
+        x, prior, terms = trial, trial_prior, trial_terms
+        if diagnostics is not None:
+            diagnostics.append((j0, j1))
         if np.linalg.norm(alpha * dx) < opts.tol:
             break
 
-    # Posterior covariance from the final normal-equations matrix,
-    # rebuilt at the accepted operating point.
-    a_mat, _, _ = _normal_equations(t_vm, varpi, t_gm, state_pred, p_inv,
-                                    bundle, smap, cam, noise)
+    # Posterior covariance from the normal equations at the accepted point.
+    a_mat, _, _ = _normal_equations(prior, terms, p_inv)
     cov = np.linalg.inv(a_mat)
     cov = 0.5 * (cov + cov.T)
-    return EstimatorState(t_vm, varpi, t_gm, cov)
+    return EstimatorState(*x, cov)

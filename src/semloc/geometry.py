@@ -25,6 +25,10 @@ class HorizontalLine(ValueError):
     """Image line has no unique column per row."""
 
 
+class DegenerateLine(ValueError):
+    """Image line defined by two coincident pixels."""
+
+
 @dataclass(frozen=True)
 class Pixel:
     u: float
@@ -49,7 +53,7 @@ class ImageLine:
     def __post_init__(self):
         sep = np.hypot(self.p1.u - self.p0.u, self.p1.v - self.p0.v)
         if sep <= 1e-6:
-            raise ValueError("defining pixels must be distinct")
+            raise DegenerateLine("defining pixels must be distinct")
 
 
 @dataclass(frozen=True)

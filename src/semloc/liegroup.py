@@ -48,18 +48,6 @@ def _check_rotation(r: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Rotation:
-    """3x3 orthonormal matrix with det +1."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = _check_rotation(self.r)
-        r.flags.writeable = False
-        object.__setattr__(self, "r", r)
-
-
-@dataclass(frozen=True)
 class Twist:
     """Element (rho; phi) of se(3); units depend on context (m or m/s, rad or rad/s)."""
 

@@ -11,7 +11,7 @@ from .association import LaneMatch
 from .config import RunConfig
 from .geometry import BehindCamera, project_point, project_polyline
 from .liegroup import Pose, inverse
-from .semantic_map import SemanticMap, nearby_lanes, nearby_lights
+from .semantic_map import nearby_lanes, nearby_lights
 
 
 @dataclass
@@ -19,11 +19,9 @@ class RunResult:
     config: RunConfig
     frame_errors: list
     gps_present: list  # one flag per frame_errors row
-    states: list
     min_cov_eigenvalues: list
     cov_asymmetry: list
     gn_objectives: list  # per frame: list of (J_before, J_accepted) pairs
-    world: SemanticMap
 
 
 def _line_angle_ok(p0, p1, min_angle_deg: float) -> bool:
@@ -135,7 +133,6 @@ def run_scenario(config: RunConfig) -> RunResult:
 
     frame_errors = []
     gps_present = []
-    states = []
     min_eigs = []
     asyms = []
     objectives = []
@@ -167,10 +164,8 @@ def run_scenario(config: RunConfig) -> RunResult:
         off = evaluation.offset_error(state.t_gm, offsets[k])
         frame_errors.append(evaluation.FrameError(frame.t, lon, lat, heading, off))
         gps_present.append(sensor.gps is not None)
-        states.append(state)
         eigs = np.linalg.eigvalsh(state.cov)
         min_eigs.append(float(eigs.min()))
         asyms.append(float(np.abs(state.cov - state.cov.T).max()))
 
-    return RunResult(config, frame_errors, gps_present, states, min_eigs,
-                     asyms, objectives, smap)
+    return RunResult(config, frame_errors, gps_present, min_eigs, asyms, objectives)

@@ -92,7 +92,13 @@ def test_config_json_reruns_byte_for_byte(tmp_path):
     ("estimator", "cov0_diag", 5),
     ("scenario", "offset", 5),
     (None, "scenario", []),
-], ids=["dropout_schedule", "cov0_diag", "offset", "scenario"])
+    ("scenario", "seed", "abc"),
+    ("estimator", "max_iters", "x"),
+    ("estimator", "subsample_stride", 0),
+    ("estimator", "light_gate", 0),
+    ("estimator", "lane_radius", -1),
+], ids=["dropout_schedule", "cov0_diag", "offset", "scenario", "seed",
+        "max_iters", "subsample_stride", "light_gate", "lane_radius"])
 def test_config_malformed_value(tmp_path, section, key, value):
     doc = cm.preset("nominal")
     (doc[section] if section else doc)[key] = value

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import gn_oracle
-from conftest import rand_pose, rand_twist, state_jacobian_fd
+from conftest import rand_pose, rand_twist, rel_err, state_jacobian_fd
 from semloc import estimator as est
 from semloc import liegroup as lg
 from semloc import simulator as sim
 from semloc.association import LightMatch
-from semloc.geometry import Pixel, project_point
+from semloc.geometry import DegenerateLine, Pixel, project_point
 
 
 CAM = sim.default_camera()
@@ -187,6 +187,31 @@ def test_lane_error_noiseless_simulation():
         assert np.abs(e).max() < 1e-3
 
 
+def test_lane_jacobian_matches_fd(rng):
+    import semloc.pipeline as pipeline
+    from semloc.config import EstimatorParams
+    scenario = sim.Scenario(detection_noise_px=0.0)
+    smap = sim.generate_world(scenario)
+    frame = sim.generate_trajectory(scenario, smap)[100]
+    sensor = sim.simulate_frame(frame, scenario, smap, CAM, 100)
+    state = est.EstimatorState(frame.t_vm_true, frame.varpi_true,
+                               lg.Pose.identity(), np.eye(18))
+    bundle = pipeline.associate_frame(sensor, state, smap, CAM,
+                                      EstimatorParams(), scenario.dt)
+    assert bundle.lane_matches
+    t_vm = lg.compose(
+        lg.exp_se3(lg.Twist(rng.normal(0, 0.1, 3), rng.normal(0, 0.01, 3))),
+        frame.t_vm_true,
+    )
+    for match, y_rows in bundle.lane_matches:
+        e, h = est._lane_jacobian(match, y_rows, t_vm, CAM)
+        assert np.array_equal(e, est.lane_error(match, y_rows, t_vm, CAM))
+        fd = state_jacobian_fd(
+            lambda tv, vp, tg: est.lane_error(match, y_rows, tv, CAM),
+            t_vm, frame.varpi_true, lg.Pose.identity())
+        assert rel_err(h, fd) < 1e-5
+
+
 def test_wheel_error():
     varpi = lg.Twist(np.array([8.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.2]))
     assert np.allclose(est.wheel_error((8.0, 0.2), varpi), [0.0, 0.0])
@@ -338,6 +363,85 @@ def test_correct_matches_brute_force_oracle_small(rng):
     oracle = gn_oracle.solve(pred, bundle, smap, CAM, noise)
     dist = gn_oracle.state_distance((post.t_vm, post.varpi, post.t_gm), oracle)
     assert dist < 1e-6
+
+
+def test_correct_evaluates_each_visited_state_once(rng, monkeypatch):
+    """One _measurement_terms call for the prediction and one per line-search
+    trial; with every first trial accepted that is 1 + len(diagnostics)."""
+    import semloc.pipeline as pipeline
+    from semloc.config import EstimatorParams
+    scenario = sim.Scenario()
+    smap = sim.generate_world(scenario)
+    frame = sim.generate_trajectory(scenario, smap)[300]
+    sensor = sim.simulate_frame(frame, scenario, smap, CAM, 300)
+    pred_mean = lg.compose(
+        lg.exp_se3(lg.Twist(rng.normal(0, 0.1, 3), rng.normal(0, 0.01, 3))),
+        frame.t_vm_true,
+    )
+    pred = est.EstimatorState(pred_mean, frame.varpi_true, lg.Pose.identity(),
+                              0.1 * np.eye(18))
+    bundle = pipeline.associate_frame(sensor, pred, smap, CAM, EstimatorParams(),
+                                      scenario.dt)
+    assert bundle.gps is not None and bundle.lane_matches and bundle.light_matches
+    calls = {"terms": 0, "trials": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(est, "_measurement_terms",
+                        counted("terms", est._measurement_terms))
+    monkeypatch.setattr(est, "apply_perturbation",
+                        counted("trials", est.apply_perturbation))
+    diag = []
+    est.correct(pred, bundle, smap, CAM, est.NoiseConfig.default(),
+                diagnostics=diag)
+    assert len(diag) >= 2
+    assert calls["terms"] == 1 + calls["trials"]
+    assert calls["trials"] == len(diag)
+
+
+def _lane_match_along_ray(t_vm):
+    """A lane match whose map segment lies on one camera ray, so both
+    endpoints project to the same pixel."""
+    from semloc.association import LaneMatch
+    from semloc.geometry import ImageLine
+    to_map = lg.inverse(lg.compose(CAM.t_cv, t_vm))
+    q = np.array([0.5, 0.3, 5.0])
+    segment = (lg.act(to_map, q), lg.act(to_map, 2.0 * q))
+    fitted = ImageLine(Pixel(600.0, 300.0), Pixel(620.0, 400.0))
+    return LaneMatch(0, fitted, 10, segment), np.array([320.0, 380.0])
+
+
+def test_correct_drops_lane_along_camera_ray(rng):
+    smap = sim.generate_world(sim.Scenario())
+    noise = est.NoiseConfig.default()
+    pred = default_state(rng)
+    match, y_rows = _lane_match_along_ray(pred.t_vm)
+    with pytest.raises(DegenerateLine):
+        est.lane_error(match, y_rows, pred.t_vm, CAM)
+    bundle = est.MeasurementBundle(dt=0.1, lane_matches=((match, y_rows),))
+    terms = est._measurement_terms(pred.t_vm, pred.varpi, pred.t_gm, bundle,
+                                   smap, CAM, noise)
+    assert len(terms) == 1  # only the pseudo-measurements
+    post = est.correct(pred, bundle, smap, CAM, noise)
+    assert np.isfinite(post.cov).all()
+
+
+def test_correct_propagates_unexpected_lane_value_error(rng, monkeypatch):
+    smap = sim.generate_world(sim.Scenario())
+    pred = default_state(rng)
+    match, y_rows = _lane_match_along_ray(pred.t_vm)
+    bundle = est.MeasurementBundle(dt=0.1, lane_matches=((match, y_rows),))
+
+    def broken(*args, **kwargs):
+        raise ValueError("unexpected lane failure")
+
+    monkeypatch.setattr(est, "_lane_jacobian", broken)
+    with pytest.raises(ValueError, match="unexpected lane failure"):
+        est.correct(pred, bundle, smap, CAM, est.NoiseConfig.default())
 
 
 def test_measurement_bundle_validation():
