@@ -67,7 +67,7 @@ def associate_lights(detections, candidates, gate: float, icp_iters: int):
     cand = np.array([[p.u, p.v] for _, p in candidates])
 
     shift = np.zeros(2)
-    for _ in range(max(icp_iters, 0)):
+    for _ in range(icp_iters):
         shifted = det + shift
         nn = np.argmin(
             np.linalg.norm(shifted[:, None, :] - cand[None, :, :], axis=2), axis=1
@@ -110,26 +110,23 @@ def match_lane_pixels(pixels, projected, gate: float):
     """
     if gate <= 0:
         raise ValueError("gate must be positive")
-    assignments: dict[int, list[Pixel]] = {}
-    outliers = []
-    for px in pixels:
-        p = np.array([px.u, px.v])
-        best_d = np.inf
-        best_id = None
-        for lane_id, segments in projected:
-            for seg in segments:
-                d = point_segment_distance(
-                    p, [seg.p0.u, seg.p0.v], [seg.p1.u, seg.p1.v]
-                )
-                if d < best_d - 1e-9 or (abs(d - best_d) <= 1e-9 and
-                                         (best_id is None or lane_id < best_id)):
-                    best_d = d
-                    best_id = lane_id
-        if best_id is None or best_d > gate:
-            outliers.append(px)
-        else:
-            assignments.setdefault(best_id, []).append(px)
-    return assignments, outliers
+    # sorted by lane id, so the first near-minimal segment has the smallest tied id
+    segments = [(lane_id, seg) for lane_id, segs in sorted(projected, key=lambda x: x[0])
+                for seg in segs]
+    if not pixels or not segments:
+        return {}, list(pixels)
+    lane_ids = np.array([lane_id for lane_id, _ in segments])
+    ends = np.array([[[s.p0.u, s.p0.v], [s.p1.u, s.p1.v]] for _, s in segments])
+    pts = np.array([[p.u, p.v] for p in pixels])
+    dist = point_segment_distance(pts[:, None], ends[:, 0], ends[:, 1])
+    best_d = dist.min(axis=1)
+    best_id = lane_ids[np.argmax(dist <= best_d[:, None] + 1e-9, axis=1)]
+    inlier = best_d <= gate
+    assignments = {
+        lane_id: [pixels[i] for i in np.flatnonzero(inlier & (best_id == lane_id))]
+        for lane_id in sorted(set(best_id[inlier].tolist()))
+    }
+    return assignments, [pixels[i] for i in np.flatnonzero(~inlier)]
 
 
 def fit_line(pixels) -> ImageLine:

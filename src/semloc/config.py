@@ -52,8 +52,10 @@ class EstimatorParams:
         if len(cov0) != 18 or any(x <= 0 for x in cov0):
             raise ConfigError("cov0_diag must be 18 positive variances")
         object.__setattr__(self, "cov0_diag", cov0)
-        if self.subsample_stride < 1 or self.min_lane_support < 1:
-            raise ConfigError("subsample_stride and min_lane_support must be >= 1")
+        if min(self.subsample_stride, self.min_lane_support, self.max_iters) < 1:
+            raise ConfigError("subsample_stride, min_lane_support and max_iters must be >= 1")
+        if self.icp_iters < 0:
+            raise ConfigError("icp_iters must be >= 0")
         if min(self.light_gate, self.lane_gate, self.light_radius, self.lane_radius) <= 0:
             raise ConfigError("gates and radii must be positive")
 

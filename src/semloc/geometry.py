@@ -87,15 +87,13 @@ class CameraModel:
 
 
 def camera_point(p_m, t_vm: Pose, cam: CameraModel) -> np.ndarray:
-    """Map-frame point expressed in the camera frame."""
+    """Map-frame point (3,) or points (N, 3) expressed in the camera frame."""
     return act(cam.t_cv, act(t_vm, p_m))
 
 
-def _pinhole(q: np.ndarray, cam: CameraModel) -> Pixel:
-    return Pixel(
-        cam.fx * q[0] / q[2] + cam.cx,
-        cam.fy * q[1] / q[2] + cam.cy,
-    )
+def pinhole(q: np.ndarray, cam: CameraModel) -> np.ndarray:
+    """Pixel coordinates (..., 2) of camera-frame points (..., 3) in front of the camera."""
+    return (cam.fx, cam.fy) * q[..., :2] / q[..., 2:] + (cam.cx, cam.cy)
 
 
 def project_point(p_m, t_vm: Pose, cam: CameraModel) -> Pixel:
@@ -103,7 +101,7 @@ def project_point(p_m, t_vm: Pose, cam: CameraModel) -> Pixel:
     q = camera_point(p_m, t_vm, cam)
     if q[2] <= NEAR_PLANE:
         raise BehindCamera(f"depth {q[2]:.4f} <= {NEAR_PLANE}")
-    return _pinhole(q, cam)
+    return Pixel(*pinhole(q, cam))
 
 
 def _clip_2d(p0: np.ndarray, p1: np.ndarray, width: float, height: float):
@@ -136,11 +134,11 @@ def project_polyline(vertices, t_vm: Pose, cam: CameraModel) -> list[ImageSegmen
     Returns one ImageSegment per (partially) visible polyline segment;
     an empty list means the polyline is fully invisible.
     """
-    vertices = [np.asarray(v, dtype=float).reshape(3) for v in vertices]
+    vertices = np.asarray(vertices, dtype=float)
     if len(vertices) < 2:
         raise ValueError("polyline needs at least 2 vertices")
     out = []
-    cam_pts = [camera_point(v, t_vm, cam) for v in vertices]
+    cam_pts = camera_point(vertices, t_vm, cam)
     for i in range(len(vertices) - 1):
         a, b = cam_pts[i], cam_pts[i + 1]
         za, zb = a[2], b[2]
@@ -153,18 +151,12 @@ def project_polyline(vertices, t_vm: Pose, cam: CameraModel) -> list[ImageSegmen
                 a = crossing
             else:
                 b = crossing
-        pa = _pinhole(a, cam).vec if a[2] > NEAR_PLANE else None
-        pb = _pinhole(b, cam).vec if b[2] > NEAR_PLANE else None
-        if pa is None or pb is None:
-            # endpoint exactly on the near plane: nudge inward along the ray
-            eps = 1e-9
-            if pa is None:
-                a = a + eps * (b - a)
-                pa = _pinhole(a, cam).vec
-            if pb is None:
-                b = b + eps * (a - b)
-                pb = _pinhole(b, cam).vec
-        clipped = _clip_2d(pa, pb, cam.width, cam.height)
+        # an endpoint exactly on the near plane is nudged inward along the ray
+        if a[2] <= NEAR_PLANE:
+            a = a + 1e-9 * (b - a)
+        if b[2] <= NEAR_PLANE:
+            b = b + 1e-9 * (a - b)
+        clipped = _clip_2d(pinhole(a, cam), pinhole(b, cam), cam.width, cam.height)
         if clipped is None:
             continue
         q0, q1 = clipped

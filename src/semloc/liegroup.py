@@ -220,8 +220,8 @@ def inverse(a: Pose) -> Pose:
 
 
 def act(a: Pose, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).reshape(3)
-    return a.rotation @ p + a.translation
+    """Apply the pose to a point (3,) or to the rows of points (N, 3)."""
+    return np.asarray(p, dtype=float) @ a.rotation.T + a.translation
 
 
 def adjoint(pose: Pose) -> np.ndarray:

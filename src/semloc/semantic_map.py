@@ -121,22 +121,17 @@ def save_map(smap: SemanticMap) -> bytes:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def point_segment_distance(p, a, b) -> float:
-    """Euclidean distance from point p to segment [a, b]; works in 2D or 3D."""
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def point_segment_distance(p, a, b) -> np.ndarray:
+    """Euclidean distance from points p to segments [a, b], in 2D or 3D.
+
+    Broadcasts over leading axes: points (P, 1, 2) against segments with
+    ends (S, 2) give (P, S). A degenerate segment (a == b) is its point a.
+    """
+    p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
     d = b - a
-    denom = float(d @ d)
-    s = 0.0 if denom == 0.0 else float(np.clip((p - a) @ d / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * d)))
-
-
-def polyline_distance(p, vertices: np.ndarray) -> float:
-    return min(
-        point_segment_distance(p, vertices[i], vertices[i + 1])
-        for i in range(len(vertices) - 1)
-    )
+    denom = np.sum(d * d, axis=-1)
+    s = np.sum((p - a) * d, axis=-1) / np.where(denom == 0.0, 1.0, denom)
+    return np.linalg.norm(p - (a + np.clip(s, 0.0, 1.0)[..., None] * d), axis=-1)
 
 
 def nearby_lights(smap: SemanticMap, center, radius: float) -> list[TrafficLight]:
@@ -157,7 +152,8 @@ def nearby_lanes(smap: SemanticMap, center, radius: float) -> list[LaneBoundary]
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float).reshape(3)
     hits = [
-        (polyline_distance(center, lane.vertices), lane.id, lane)
+        (point_segment_distance(center, lane.vertices[:-1], lane.vertices[1:]).min(),
+         lane.id, lane)
         for lane in smap.lanes
     ]
     return [lane for d, _, lane in sorted(hits, key=lambda h: (h[0], h[1])) if d <= radius]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraModel, NEAR_PLANE, Pixel, camera_point, project_point
-from .liegroup import Pose, Twist, act, compose, exp_se3, inverse
+from .geometry import CameraModel, NEAR_PLANE, Pixel, camera_point, pinhole
+from .liegroup import Pose, Twist, compose, exp_se3, inverse
 from .semantic_map import LaneBoundary, SemanticMap, TrafficLight, nearby_lanes, nearby_lights
 
 _CH_GPS = 0
@@ -58,8 +58,20 @@ class Scenario:
     offset_drift_rot_std: float = 0.0
 
     def __post_init__(self):
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("rate must be positive")
+        if not self.speed > 0:
+            raise ValueError("speed must be positive")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+        if not 0.0 <= self.outlier_rate <= 1.0:
+            raise ValueError("outlier_rate must be in [0, 1]")
+        stds = ("detection_noise_px", "gps_noise_trans_std", "gps_noise_rot_std",
+                "wheel_noise_v_std", "wheel_noise_w_std",
+                "offset_drift_trans_std", "offset_drift_rot_std")
+        negative = [name for name in stds if not getattr(self, name) >= 0]
+        if negative:
+            raise ValueError(f"{', '.join(negative)} must be >= 0")
         sched = tuple((float(s), float(e)) for s, e in self.dropout_schedule)
         prev_end = 0.0
         for s, e in sorted(sched):
@@ -166,21 +178,20 @@ def generate_trajectory(scenario: Scenario, smap: SemanticMap) -> list[GroundTru
     straight = b + 2.0 * h - 2.0 * r
     first_straight = b / 2.0 + h - r
 
+    def repeated(n, omega=0.0):
+        """n frames of one body twist, each paired with its one-frame step pose."""
+        twist = Twist(np.array([v, 0.0, 0.0]), np.array([0.0, 0.0, omega]))
+        return [(twist, exp_se3(Twist.from_vector(dt * twist.vec)))] * n
+
     def straight_twists(length):
-        n = max(1, int(round(length / v / dt)))
-        return [Twist(np.array([v, 0.0, 0.0]), np.zeros(3))] * n
+        return repeated(max(1, int(round(length / v / dt))))
 
     def turn_twists():
-        nominal = (np.pi / 2.0) * r / v
-        n = max(1, int(round(nominal / dt)))
-        omega = -(np.pi / 2.0) / (n * dt)  # sign chosen for a CCW loop
-        return [Twist(np.array([v, 0.0, 0.0]), np.array([0.0, 0.0, omega]))] * n
+        n = max(1, int(round((np.pi / 2.0) * r / v / dt)))
+        return repeated(n, -(np.pi / 2.0) / (n * dt))  # sign chosen for a CCW loop
 
-    schedule = list(straight_twists(first_straight))
-    lap = []
-    for _ in range(4):
-        lap.extend(turn_twists())
-        lap.extend(straight_twists(straight))
+    schedule = straight_twists(first_straight)
+    lap = (turn_twists() + straight_twists(straight)) * 4
     n_frames = scenario.n_frames
     while len(schedule) < n_frames:
         schedule.extend(lap)
@@ -188,9 +199,9 @@ def generate_trajectory(scenario: Scenario, smap: SemanticMap) -> list[GroundTru
     frames = []
     pose = _initial_pose(scenario)
     for k in range(n_frames):
-        tw = schedule[k]
+        tw, step = schedule[k]
         frames.append(GroundTruthFrame(k * dt, pose, tw))
-        pose = compose(exp_se3(Twist.from_vector(dt * tw.vec)), pose)
+        pose = compose(step, pose)
     return frames
 
 
@@ -211,14 +222,32 @@ def true_offsets(scenario: Scenario) -> list[Pose]:
     return offsets
 
 
-def _visible_pixel(p_m, t_vm: Pose, cam: CameraModel, max_range: float) -> Pixel | None:
-    q = camera_point(p_m, t_vm, cam)
-    if q[2] <= NEAR_PLANE or q[2] > max_range:
-        return None
-    px = project_point(p_m, t_vm, cam)
-    if not (0.0 <= px.u < cam.width and 0.0 <= px.v < cam.height):
-        return None
-    return px
+def _visible_pixels(p_m, t_vm: Pose, cam: CameraModel, max_range: float) -> np.ndarray:
+    """Pixels (M, 2) of the map points (N, 3) or point (3,) that lie within
+    max_range depth in front of the camera and project inside the image, in
+    point order."""
+    q = camera_point(np.reshape(p_m, (-1, 3)), t_vm, cam)
+    px = pinhole(q[(q[:, 2] > NEAR_PLANE) & (q[:, 2] <= max_range)], cam)
+    inside = (px >= 0.0).all(axis=1) & (px < (cam.width, cam.height)).all(axis=1)
+    return px[inside]
+
+
+def _lane_samples(lanes) -> np.ndarray:
+    """Points (N, 3) at most LANE_SAMPLE_STEP apart along each lane, in lane
+    then vertex order; each lane's last vertex is its last sample."""
+    if not lanes:
+        return np.empty((0, 3))
+    a = np.concatenate([lane.vertices[:-1] for lane in lanes])
+    d = np.concatenate([np.diff(lane.vertices, axis=0) for lane in lanes])
+    last = np.concatenate([np.arange(len(lane.vertices) - 1) == len(lane.vertices) - 2
+                           for lane in lanes])
+    n = np.maximum(2, np.ceil(np.linalg.norm(d, axis=1) / LANE_SAMPLE_STEP).astype(int) + 1)
+    seg = np.repeat(np.arange(len(a)), n)
+    ends = np.cumsum(n)
+    # np.linspace(0, 1, n, endpoint=last) of each segment, value for value
+    s = (np.arange(ends[-1]) - (ends - n)[seg]) * (1.0 / (n - last))[seg]
+    s[ends[last] - 1] = 1.0
+    return a[seg] + s[:, None] * d[seg]
 
 
 def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMap,
@@ -228,6 +257,7 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
     t_gm = t_gm_true if t_gm_true is not None else scenario.offset_true
     t_vm = truth.t_vm_true
     origin = inverse(t_vm).translation
+    sigma_px = scenario.detection_noise_px
 
     gps = None
     if not scenario.gps_dropped(truth.t):
@@ -241,40 +271,23 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
 
     out_rng = _rng(scenario, frame_index, _CH_OUTLIER)
 
-    light_rng = _rng(scenario, frame_index, _CH_LIGHT)
+    lights = nearby_lights(smap, origin, LIGHT_VISIBILITY_RADIUS)
+    px = _visible_pixels([x.position for x in lights], t_vm, cam, LIGHT_VISIBILITY_RADIUS)
+    px = px + _rng(scenario, frame_index, _CH_LIGHT).normal(0.0, sigma_px, px.shape)
     light_pixels = []
-    for light in nearby_lights(smap, origin, LIGHT_VISIBILITY_RADIUS):
-        px = _visible_pixel(light.position, t_vm, cam, LIGHT_VISIBILITY_RADIUS)
-        if px is None:
-            continue
-        noise = light_rng.normal(0.0, scenario.detection_noise_px, 2)
-        light_pixels.append(Pixel(px.u + noise[0], px.v + noise[1]))
+    for u, v in px.tolist():
+        light_pixels.append(Pixel(u, v))
         if out_rng.random() < scenario.outlier_rate:
             light_pixels.append(Pixel(out_rng.uniform(0, cam.width),
                                       out_rng.uniform(0, cam.height)))
 
-    lane_rng = _rng(scenario, frame_index, _CH_LANE)
-    lane_pixels = []
-    for lane in nearby_lanes(smap, origin, LANE_VISIBILITY_RADIUS):
-        verts = lane.vertices
-        for i in range(len(verts) - 1):
-            a, b = verts[i], verts[i + 1]
-            seg_len = np.linalg.norm(b - a)
-            n_samples = max(2, int(np.ceil(seg_len / LANE_SAMPLE_STEP)) + 1)
-            for s in np.linspace(0.0, 1.0, n_samples, endpoint=(i == len(verts) - 2)):
-                p = a + s * (b - a)
-                if np.linalg.norm(p - origin) > MAX_DETECTION_RANGE:
-                    continue
-                px = _visible_pixel(p, t_vm, cam, MAX_DETECTION_RANGE)
-                if px is None:
-                    continue
-                noise = lane_rng.normal(0.0, scenario.detection_noise_px, 2)
-                lane_pixels.append(Pixel(px.u + noise[0], px.v + noise[1]))
-    n_lane_outliers = out_rng.binomial(len(lane_pixels), scenario.outlier_rate) \
-        if lane_pixels else 0
-    for _ in range(n_lane_outliers):
-        lane_pixels.append(Pixel(out_rng.uniform(0, cam.width),
-                                 out_rng.uniform(0, cam.height)))
+    samples = _lane_samples(nearby_lanes(smap, origin, LANE_VISIBILITY_RADIUS))
+    in_range = np.linalg.norm(samples - origin, axis=1) <= MAX_DETECTION_RANGE
+    px = _visible_pixels(samples[in_range], t_vm, cam, MAX_DETECTION_RANGE)
+    px = px + _rng(scenario, frame_index, _CH_LANE).normal(0.0, sigma_px, px.shape)
+    n_outliers = out_rng.binomial(len(px), scenario.outlier_rate)
+    outliers = out_rng.uniform((0, 0), (cam.width, cam.height), (n_outliers, 2))
+    lane_pixels = [Pixel(u, v) for u, v in np.concatenate([px, outliers]).tolist()]
 
     wheel_rng = _rng(scenario, frame_index, _CH_WHEEL)
     wheel = (

@@ -122,7 +122,7 @@ def test_jacobian_suite():
         origin = lg.inverse(t_vm).translation
         light = next(
             (l for l in smap.lights
-             if sim._visible_pixel(l.position, t_vm, cam, 100.0) is not None),
+             if len(sim._visible_pixels(l.position, t_vm, cam, 100.0))),
             None,
         )
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,44 @@ def test_match_lane_matches_brute_force(rng):
             assert px in outliers
         else:
             assert px in assignments[best_id]
+
+
+def _segment_distance(px, seg) -> float:
+    """One pixel to one non-degenerate segment, in plain Python."""
+    du, dv = seg.p1.u - seg.p0.u, seg.p1.v - seg.p0.v
+    s = ((px.u - seg.p0.u) * du + (px.v - seg.p0.v) * dv) / (du * du + dv * dv)
+    s = min(max(s, 0.0), 1.0)
+    return math.hypot(px.u - (seg.p0.u + s * du), px.v - (seg.p0.v + s * dv))
+
+
+def test_match_lane_brute_force_several_segments_and_tie(rng):
+    def polyline(points):
+        return [ImageSegment(Pixel(*p0), Pixel(*p1), i)
+                for i, (p0, p1) in enumerate(zip(points[:-1], points[1:]))]
+
+    # lanes 8 and 4 run 50 px above and below the row v = 150 over u in
+    # [0, 640], so pixels on that row tie exactly; the other lanes stay
+    # below v = 300
+    projected = [(8, polyline([[0.0, 100.0], [320.0, 100.0], [640.0, 100.0]])),
+                 (4, polyline([[0.0, 200.0], [640.0, 200.0]]))]
+    for lane_id in (7, 3, 5, 1):
+        projected.append((lane_id, polyline(rng.uniform(300.0, 640.0, (4, 2)))))
+    ties = [Pixel(u, 150.0) for u in (10.0, 160.0, 320.0, 500.0)]
+    pixels = ties + [Pixel(u, v) for u, v in rng.uniform(0, 640, (300, 2))]
+    gate = 60.0
+    assignments, outliers = assoc.match_lane_pixels(pixels, projected, gate)
+
+    for px in pixels:
+        lane_d = {lane_id: min(_segment_distance(px, s) for s in segs)
+                  for lane_id, segs in projected}
+        best_d = min(lane_d.values())
+        best_id = min(i for i, d in lane_d.items() if d <= best_d + 1e-9)
+        if best_d > gate:
+            assert px in outliers
+        else:
+            assert px in assignments[best_id]
+    assert all(px in assignments[4] for px in ties)
+    assert sum(map(len, assignments.values())) + len(outliers) == len(pixels)
 
 
 def test_fit_line_through_two_pixels():

@@ -97,8 +97,19 @@ def test_config_json_reruns_byte_for_byte(tmp_path):
     ("estimator", "subsample_stride", 0),
     ("estimator", "light_gate", 0),
     ("estimator", "lane_radius", -1),
+    ("scenario", "outlier_rate", 2.0),
+    ("scenario", "detection_noise_px", -1),
+    ("scenario", "gps_noise_trans_std", -1),
+    ("scenario", "wheel_noise_v_std", -1),
+    ("scenario", "seed", -1),
+    ("scenario", "speed", 0),
+    ("estimator", "max_iters", -3),
+    ("estimator", "icp_iters", -1),
 ], ids=["dropout_schedule", "cov0_diag", "offset", "scenario", "seed",
-        "max_iters", "subsample_stride", "light_gate", "lane_radius"])
+        "max_iters", "subsample_stride", "light_gate", "lane_radius",
+        "outlier_rate", "detection_noise_px", "gps_noise_trans_std",
+        "wheel_noise_v_std", "seed_negative", "speed_zero", "max_iters_negative",
+        "icp_iters_negative"])
 def test_config_malformed_value(tmp_path, section, key, value):
     doc = cm.preset("nominal")
     (doc[section] if section else doc)[key] = value

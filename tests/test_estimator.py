@@ -109,7 +109,7 @@ def test_light_error_zero_at_projection(rng):
     t_vm = sim.generate_trajectory(scenario, smap)[40].t_vm_true
     light = next(
         l for l in smap.lights
-        if sim._visible_pixel(l.position, t_vm, CAM, 100.0) is not None
+        if len(sim._visible_pixels(l.position, t_vm, CAM, 100.0))
     )
     px = project_point(light.position, t_vm, CAM)
     match = LightMatch(px, light.id, px)
@@ -132,12 +132,10 @@ def test_light_errors_zero_noise_simulation():
     # each noiseless detection must coincide with some projected light
     for px in sensor.light_pixels:
         best = min(
-            np.linalg.norm(px.vec - p.vec)
-            for p in (
-                sim._visible_pixel(l.position, frame.t_vm_true, CAM, 100.0)
-                for l in smap.lights
+            np.linalg.norm(px.vec - p)
+            for p in sim._visible_pixels(
+                np.array([l.position for l in smap.lights]), frame.t_vm_true, CAM, 100.0
             )
-            if p is not None
         )
         assert best < 1e-6
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,3 +121,30 @@ def test_point_segment_distance_cases():
     assert sm.point_segment_distance([5, 0], [0, 0], [10, 0]) == 0.0
     # degenerate segment falls back to point distance
     assert sm.point_segment_distance([3, 4], [0, 0], [0, 0]) == 5.0
+
+
+def _segment_distance_reference(p, a, b) -> float:
+    """One point to one segment, in plain Python."""
+    d = [bi - ai for ai, bi in zip(a, b)]
+    denom = sum(x * x for x in d)
+    s = sum((pi - ai) * di for pi, ai, di in zip(p, a, d)) / denom if denom else 0.0
+    s = min(max(s, 0.0), 1.0)
+    return math.dist(p, [ai + s * di for ai, di in zip(a, d)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_segment_distance_broadcasts(rng, dim):
+    points = rng.uniform(-10.0, 10.0, (40, dim))
+    a = rng.uniform(-10.0, 10.0, (12, dim))
+    b = rng.uniform(-10.0, 10.0, (12, dim))
+    b[::4] = a[::4]  # degenerate segments
+    got = sm.point_segment_distance(points[:, None, :], a, b)
+    assert got.shape == (40, 12)
+    expected = [[_segment_distance_reference(p, a_j, b_j) for a_j, b_j in zip(a, b)]
+                for p in points]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    # one point against every segment, and point i against segment i
+    np.testing.assert_allclose(sm.point_segment_distance(points[0], a, b), got[0],
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sm.point_segment_distance(points[:12], a, b),
+                               np.diag(got[:12]), rtol=1e-12, atol=1e-12)

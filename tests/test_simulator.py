@@ -3,6 +3,7 @@ import pytest
 
 from semloc import liegroup as lg
 from semloc import simulator as sim
+from semloc.geometry import NEAR_PLANE
 
 
 def test_world_counts_single_block():
@@ -166,3 +167,76 @@ def test_outlier_injection_adds_detections():
     assert len(dirty.lane_pixels) > len(clean.lane_pixels)
     # inlier detections are identical thanks to per-channel RNG streams
     assert dirty.lane_pixels[: len(clean.lane_pixels)] == clean.lane_pixels
+
+
+def test_trajectory_one_exp_per_distinct_twist(monkeypatch):
+    calls = []
+    exp_se3 = sim.exp_se3
+    monkeypatch.setattr(sim, "exp_se3", lambda xi: calls.append(xi) or exp_se3(xi))
+    scenario = sim.Scenario()
+    truth = sim.generate_trajectory(scenario, sim.generate_world(scenario))
+    assert 0 < len(calls) <= len({id(f.varpi_true) for f in truth})
+
+
+def _visible_reference(p, t_vm, cam, max_range):
+    """One map point: depth gate, pinhole and image gate, or None."""
+    q = cam.t_cv.rotation @ (t_vm.rotation @ p + t_vm.translation) + cam.t_cv.translation
+    if q[2] <= NEAR_PLANE or q[2] > max_range:
+        return None
+    u = cam.fx * q[0] / q[2] + cam.cx
+    v = cam.fy * q[1] / q[2] + cam.cy
+    return (u, v) if 0.0 <= u < cam.width and 0.0 <= v < cam.height else None
+
+
+def _detections_reference(truth, scenario, smap, cam, k):
+    """Light and lane pixels of frame k, synthesized one point at a time."""
+    t_vm = truth.t_vm_true
+    origin = lg.inverse(t_vm).translation
+    sigma = scenario.detection_noise_px
+    out_rng = sim._rng(scenario, k, sim._CH_OUTLIER)
+
+    def outlier():
+        return (out_rng.uniform(0, cam.width), out_rng.uniform(0, cam.height))
+
+    light_rng = sim._rng(scenario, k, sim._CH_LIGHT)
+    lights = []
+    for light in sim.nearby_lights(smap, origin, sim.LIGHT_VISIBILITY_RADIUS):
+        px = _visible_reference(light.position, t_vm, cam, sim.LIGHT_VISIBILITY_RADIUS)
+        if px is None:
+            continue
+        lights.append(px + light_rng.normal(0.0, sigma, 2))
+        if out_rng.random() < scenario.outlier_rate:
+            lights.append(outlier())
+
+    lane_rng = sim._rng(scenario, k, sim._CH_LANE)
+    lanes = []
+    for lane in sim.nearby_lanes(smap, origin, sim.LANE_VISIBILITY_RADIUS):
+        verts = lane.vertices
+        for i in range(len(verts) - 1):
+            a, b = verts[i], verts[i + 1]
+            n = max(2, int(np.ceil(np.linalg.norm(b - a) / sim.LANE_SAMPLE_STEP)) + 1)
+            for s in np.linspace(0.0, 1.0, n, endpoint=(i == len(verts) - 2)):
+                p = a + s * (b - a)
+                if np.linalg.norm(p - origin) > sim.MAX_DETECTION_RANGE:
+                    continue
+                px = _visible_reference(p, t_vm, cam, sim.MAX_DETECTION_RANGE)
+                if px is not None:
+                    lanes.append(px + lane_rng.normal(0.0, sigma, 2))
+    if lanes:
+        lanes += [outlier() for _ in range(out_rng.binomial(len(lanes), scenario.outlier_rate))]
+    return np.array(lights).reshape(-1, 2), np.array(lanes).reshape(-1, 2)
+
+
+def test_simulate_frame_matches_per_point_reference():
+    scenario = sim.Scenario(seed=3, outlier_rate=0.2)
+    smap = sim.generate_world(scenario)
+    truth = sim.generate_trajectory(scenario, smap)
+    cam = sim.default_camera()
+    for k in (0, 77, 150, 420, 901):
+        sensor = sim.simulate_frame(truth[k], scenario, smap, cam, k)
+        lights, lanes = _detections_reference(truth[k], scenario, smap, cam, k)
+        for got, expected in ((sensor.light_pixels, lights), (sensor.lane_pixels, lanes)):
+            assert len(got) == len(expected)
+            assert np.abs(np.array([p.vec for p in got]).reshape(-1, 2) - expected).max(
+                initial=0.0) < 1e-9
+        assert len(sensor.lane_pixels) > 50
