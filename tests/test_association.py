@@ -131,9 +131,9 @@ def test_match_lane_brute_force_several_segments_and_tie(rng):
         return [ImageSegment(Pixel(*p0), Pixel(*p1), i)
                 for i, (p0, p1) in enumerate(zip(points[:-1], points[1:]))]
 
-    # lanes 8 and 4 run 50 px above and below the row v = 150 over u in
-    # [0, 640], so pixels on that row tie exactly; the other lanes stay
-    # below v = 300
+    # lanes 8 and 4 run 50 px either side of the row v = 150 over u in
+    # [0, 640], so pixels on that row tie exactly; the other lanes keep to
+    # v >= 300
     projected = [(8, polyline([[0.0, 100.0], [320.0, 100.0], [640.0, 100.0]])),
                  (4, polyline([[0.0, 200.0], [640.0, 200.0]]))]
     for lane_id in (7, 3, 5, 1):
