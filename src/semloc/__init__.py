@@ -9,7 +9,6 @@ the live GPS frame and the map frame.
 from .liegroup import (  # noqa: F401
     NearPiRotation,
     Pose,
-    Twist,
     act,
     compose,
     exp_se3,
@@ -52,7 +51,6 @@ from .association import (  # noqa: F401
 )
 from .estimator import (  # noqa: F401
     EstimatorState,
-    GaussNewtonOptions,
     MeasurementBundle,
     NoiseConfig,
     SingularNormalEquations,

@@ -22,9 +22,8 @@ class DegenerateInput(ValueError):
 
 @dataclass(frozen=True)
 class LightMatch:
-    detection: Pixel
+    detection: np.ndarray  # (2,) pixel
     light_id: int
-    projected: Pixel
 
 
 @dataclass(frozen=True)
@@ -37,38 +36,37 @@ class LaneMatch:
     segment_map: tuple
 
 
-def subsample_pixels(pixels, stride: int, bottom_fraction: float, height: float):
-    """Keep pixels in the bottom image region, then every stride-th survivor."""
+def subsample_pixels(pixels: np.ndarray, stride: int, bottom_fraction: float,
+                     height: float) -> np.ndarray:
+    """Keep the pixels (N, 2) in the bottom image region, then every stride-th survivor."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     v_min = (1.0 - bottom_fraction) * height
-    kept = [p for p in pixels if p.v >= v_min]
-    return kept[::stride]
+    return pixels[pixels[:, 1] >= v_min][::stride]
 
 
-def associate_lights(detections, candidates, gate: float, icp_iters: int):
-    """Associate light detections with projected map lights.
+def associate_lights(detections: np.ndarray, candidates, gate: float, icp_iters: int):
+    """Associate light detections (M, 2) with projected map lights.
 
     ICP estimates a 2D image-space translation aligning detections to the
     candidates (rounds of nearest-neighbour + mean-residual shift); the
     final one-to-one greedy assignment gates on the aligned distances but
     records the original unshifted detection pixels.
 
-    Returns (matches, outliers).
+    candidates: list of (light_id, projected Pixel).
+    Returns (matches, outliers (K, 2)).
     """
     if gate <= 0:
         raise ValueError("gate must be positive")
-    detections = list(detections)
     candidates = list(candidates)
-    if not detections or not candidates:
-        return [], list(detections)
+    if not len(detections) or not candidates:
+        return [], detections
 
-    det = np.array([[p.u, p.v] for p in detections])
     cand = np.array([[p.u, p.v] for _, p in candidates])
 
     shift = np.zeros(2)
     for _ in range(icp_iters):
-        shifted = det + shift
+        shifted = detections + shift
         nn = np.argmin(
             np.linalg.norm(shifted[:, None, :] - cand[None, :, :], axis=2), axis=1
         )
@@ -76,7 +74,7 @@ def associate_lights(detections, candidates, gate: float, icp_iters: int):
 
     # Greedy one-to-one by increasing aligned distance; ties broken by
     # detection order then candidate order for determinism.
-    dists = np.linalg.norm((det + shift)[:, None, :] - cand[None, :, :], axis=2)
+    dists = np.linalg.norm((detections + shift)[:, None, :] - cand[None, :, :], axis=2)
     pairs = sorted(
         (dists[i, j], i, j)
         for i in range(len(detections))
@@ -92,51 +90,48 @@ def associate_lights(detections, candidates, gate: float, icp_iters: int):
             continue
         used_det.add(i)
         used_cand.add(j)
-        matches.append(
-            LightMatch(detections[i], candidates[j][0], candidates[j][1])
-        )
-    outliers = [detections[i] for i in range(len(detections)) if i not in used_det]
-    return matches, outliers
+        matches.append(LightMatch(detections[i], candidates[j][0]))
+    return matches, np.delete(detections, sorted(used_det), axis=0)
 
 
-def match_lane_pixels(pixels, projected, gate: float):
-    """Assign each pixel to the lane of its nearest projected segment.
+def match_lane_pixels(pixels: np.ndarray, projected, gate: float):
+    """Assign each pixel of (N, 2) to the lane of its nearest projected segment.
 
     projected: list of (lane_id, segments) where each segment has .p0/.p1
     pixels. Pixels farther than gate from every segment are outliers;
     ties within 1e-9 go to the smaller lane_id.
 
-    Returns (assignments: dict lane_id -> list of Pixel, outliers).
+    Returns (assignments: dict lane_id -> (k, 2) pixels, outliers (K, 2)),
+    each in pixel order.
     """
     if gate <= 0:
         raise ValueError("gate must be positive")
     # sorted by lane id, so the first near-minimal segment has the smallest tied id
     segments = [(lane_id, seg) for lane_id, segs in sorted(projected, key=lambda x: x[0])
                 for seg in segs]
-    if not pixels or not segments:
-        return {}, list(pixels)
+    if not len(pixels) or not segments:
+        return {}, pixels
     lane_ids = np.array([lane_id for lane_id, _ in segments])
     ends = np.array([[[s.p0.u, s.p0.v], [s.p1.u, s.p1.v]] for _, s in segments])
-    pts = np.array([[p.u, p.v] for p in pixels])
-    dist = point_segment_distance(pts[:, None], ends[:, 0], ends[:, 1])
+    dist = point_segment_distance(pixels[:, None], ends[:, 0], ends[:, 1])
     best_d = dist.min(axis=1)
     best_id = lane_ids[np.argmax(dist <= best_d[:, None] + 1e-9, axis=1)]
     inlier = best_d <= gate
     assignments = {
-        lane_id: [pixels[i] for i in np.flatnonzero(inlier & (best_id == lane_id))]
+        lane_id: pixels[inlier & (best_id == lane_id)]
         for lane_id in sorted(set(best_id[inlier].tolist()))
     }
-    return assignments, [pixels[i] for i in np.flatnonzero(~inlier)]
+    return assignments, pixels[~inlier]
 
 
-def fit_line(pixels) -> ImageLine:
-    """Total-least-squares line through the pixels (orthogonal residuals).
+def fit_line(pixels: np.ndarray) -> ImageLine:
+    """Total-least-squares line through the pixels (k, 2) (orthogonal residuals).
 
     TLS handles near-vertical lane projections where u-on-v regression
     would be the stable choice and v-on-u would not; it is symmetric in
     both orientations.
     """
-    pts = np.array([[p.u, p.v] for p in pixels], dtype=float)
+    pts = np.asarray(pixels, dtype=float)
     if len(pts) < 2:
         raise DegenerateInput("need at least 2 pixels")
     mean = pts.mean(axis=0)

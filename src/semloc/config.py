@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .estimator import NoiseConfig
+from .estimator import GN_MAX_ITERS, GN_TOL, NoiseConfig
 from .geometry import CameraModel
 from .liegroup import Pose
 from .simulator import Scenario, default_camera
@@ -29,8 +29,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    tol: float = 1e-6
-    max_iters: int = 10
+    tol: float = GN_TOL
+    max_iters: int = GN_MAX_ITERS
     light_gate: float = 40.0
     lane_gate: float = 25.0
     icp_iters: int = 3

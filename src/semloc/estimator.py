@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .liegroup import (
     Pose,
-    Twist,
     adjoint,
     compose,
     exp_se3,
@@ -38,16 +37,20 @@ from .liegroup import (
     log_se3,
     se3_left_jacobian,
     se3_left_jacobian_inv,
+    so3_wedge,
 )
 from .semantic_map import SemanticMap
 
 STATE_DIM = 18
+GN_TOL = 1e-6  # default GN stop: norm of the accepted step
+GN_MAX_ITERS = 10  # default GN iteration cap
 MAX_HALVINGS = 5  # line-search step halvings per GN iteration
 COND_LIMIT = 1e12  # largest accepted condition number of the normal equations
 
 
 class SingularNormalEquations(RuntimeError):
-    """Normal equations condition number beyond the limit (unobservable setup)."""
+    """Normal equations beyond the condition limit (unobservable setup), or a
+    non-finite Gauss-Newton step."""
 
 
 class UnknownLandmark(KeyError):
@@ -95,11 +98,14 @@ class NoiseConfig:
 @dataclass(frozen=True)
 class EstimatorState:
     t_vm: Pose  # vehicle-from-map
-    varpi: Twist  # body velocity
+    varpi: np.ndarray  # (6,) read-only body velocity twist
     t_gm: Pose  # GPS-from-map offset
     cov: np.ndarray  # 18x18, block order (dxi_vm, dvarpi, dxi_gm)
 
     def __post_init__(self):
+        varpi = np.array(self.varpi, dtype=float).reshape(6)
+        varpi.flags.writeable = False
+        object.__setattr__(self, "varpi", varpi)
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (STATE_DIM, STATE_DIM):
             raise ValueError("covariance must be 18x18")
@@ -132,12 +138,6 @@ class MeasurementBundle:
                 raise ValueError("lane measurement rows must be distinct")
 
 
-@dataclass(frozen=True)
-class GaussNewtonOptions:
-    tol: float = 1e-6
-    max_iters: int = 10
-
-
 def process_covariance(q_c: np.ndarray, dt: float) -> np.ndarray:
     """12x12 WNOA process noise [[dt^3/3 Qc, dt^2/2 Qc], [dt^2/2 Qc, dt Qc]]."""
     if dt <= 0:
@@ -149,9 +149,9 @@ def process_covariance(q_c: np.ndarray, dt: float) -> np.ndarray:
     return np.block([[top, off], [off, bot]])
 
 
-def transition_jacobian(varpi: Twist, dt: float) -> np.ndarray:
+def transition_jacobian(varpi: np.ndarray, dt: float) -> np.ndarray:
     """18x18 linearized transition under the left perturbation convention."""
-    step = Twist.from_vector(dt * varpi.vec)
+    step = dt * varpi
     f = np.eye(STATE_DIM)
     f[0:6, 0:6] = adjoint(exp_se3(step))
     f[0:6, 6:12] = dt * se3_left_jacobian(step)
@@ -162,8 +162,7 @@ def predict(state: EstimatorState, dt: float, noise: NoiseConfig) -> EstimatorSt
     """Propagate the mean and covariance over dt (offset mean unchanged)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    step = Twist.from_vector(dt * state.varpi.vec)
-    t_vm = compose(exp_se3(step), state.t_vm)
+    t_vm = compose(exp_se3(dt * state.varpi), state.t_vm)
     f = transition_jacobian(state.varpi, dt)
     q = np.zeros((STATE_DIM, STATE_DIM))
     q[0:12, 0:12] = process_covariance(noise.q_c, dt)
@@ -177,7 +176,7 @@ def init_state(gps_first: Pose, offset_guess: Pose, cov0: np.ndarray) -> Estimat
     """Bootstrap from the first GPS fix: T_vm = T_vg @ T_gm(guess)."""
     return EstimatorState(
         t_vm=compose(gps_first, offset_guess),
-        varpi=Twist.zero(),
+        varpi=np.zeros(6),
         t_gm=offset_guess,
         cov=np.asarray(cov0, dtype=float),
     )
@@ -190,13 +189,13 @@ def init_state(gps_first: Pose, offset_guess: Pose, cov0: np.ndarray) -> Estimat
 def gps_error(t_vg_meas: Pose, t_vm: Pose, t_gm: Pose) -> np.ndarray:
     """log(T_meas (T_vm T_gm^-1)^-1); zero iff the triple is consistent."""
     predicted = compose(t_vm, inverse(t_gm))
-    return log_se3(compose(t_vg_meas, inverse(predicted))).vec
+    return log_se3(compose(t_vg_meas, inverse(predicted)))
 
 
 def _gps_jacobian(t_vg_meas: Pose, t_vm: Pose, t_gm: Pose):
     err_pose = compose(t_vg_meas, compose(t_gm, inverse(t_vm)))
-    e = log_se3(err_pose).vec
-    jl_inv = se3_left_jacobian_inv(Twist.from_vector(e))
+    e = log_se3(err_pose)
+    jl_inv = se3_left_jacobian_inv(e)
     h = np.zeros((6, STATE_DIM))
     h[:, 0:6] = -jl_inv @ adjoint(err_pose)
     h[:, 12:18] = jl_inv @ adjoint(t_vg_meas)
@@ -211,7 +210,7 @@ def light_error(match: LightMatch, t_vm: Pose, smap: SemanticMap,
     except KeyError as exc:
         raise UnknownLandmark(match.light_id) from exc
     proj = project_point(light.position, t_vm, cam)
-    return match.detection.vec - proj.vec
+    return match.detection - proj.vec
 
 
 def _light_jacobian(match: LightMatch, t_vm: Pose, smap: SemanticMap,
@@ -278,10 +277,10 @@ def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel):
     return e, h
 
 
-def wheel_error(meas, varpi: Twist) -> np.ndarray:
+def wheel_error(meas, varpi: np.ndarray) -> np.ndarray:
     """(v, omega) measurement minus the matching velocity components."""
     v, omega = meas
-    return np.array([v - varpi.rho[0], omega - varpi.phi[2]])
+    return np.array([v - varpi[0], omega - varpi[5]])
 
 
 _WHEEL_H = np.zeros((2, STATE_DIM))
@@ -289,25 +288,23 @@ _WHEEL_H[0, 6] = -1.0
 _WHEEL_H[1, 11] = -1.0
 
 
-def pseudo_errors(t_vm: Pose, varpi: Twist) -> np.ndarray:
+def pseudo_errors(t_vm: Pose, varpi: np.ndarray) -> np.ndarray:
     """Soft-constrained quantities: map elevation, roll, pitch, lateral velocity."""
     r_mv = t_vm.rotation.T
     origin = -r_mv @ t_vm.translation  # vehicle origin in the map frame
     pitch = -np.arcsin(np.clip(r_mv[2, 0], -1.0, 1.0))
     roll = np.arctan2(r_mv[2, 1], r_mv[2, 2])
-    return np.array([origin[2], roll, pitch, varpi.rho[1]])
+    return np.array([origin[2], roll, pitch, varpi[1]])
 
 
-def _pseudo_jacobian(t_vm: Pose, varpi: Twist):
+def _pseudo_jacobian(t_vm: Pose, varpi: np.ndarray):
     e = pseudo_errors(t_vm, varpi)
     r_mv = t_vm.rotation.T
     h = np.zeros((4, STATE_DIM))
     # elevation: d origin / d drho = -R_mv, no rotation sensitivity
     h[0, 0:3] = -r_mv[2, :]
-    # dR_mv[i, j] / d dphi = -(e_j x row_i(R_mv))
-    row2 = r_mv[2, :]
-    basis = np.eye(3)
-    d_m = {j: -np.cross(basis[j], row2) for j in range(3)}
+    # dR_mv[2, j] / d dphi = -(e_j x row_2(R_mv)), column j of its wedge
+    d_m = so3_wedge(r_mv[2, :]).T
     m21, m22 = r_mv[2, 1], r_mv[2, 2]
     denom = m21 * m21 + m22 * m22
     h[1, 3:6] = (m22 * d_m[1] - m21 * d_m[2]) / denom
@@ -328,13 +325,13 @@ def cauchy_information(e: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
     return r_inv / (1.0 + float(e @ r_inv @ e))
 
 
-def apply_perturbation(t_vm: Pose, varpi: Twist, t_gm: Pose, dx: np.ndarray):
+def apply_perturbation(t_vm: Pose, varpi: np.ndarray, t_gm: Pose, dx: np.ndarray):
     """x <- x (+) dx with left pose updates; used by correct() and test oracles."""
     dx = np.asarray(dx, dtype=float).reshape(STATE_DIM)
     return (
-        compose(exp_se3(Twist.from_vector(dx[0:6])), t_vm),
-        Twist.from_vector(varpi.vec + dx[6:12]),
-        compose(exp_se3(Twist.from_vector(dx[12:18])), t_gm),
+        compose(exp_se3(dx[0:6]), t_vm),
+        varpi + dx[6:12],
+        compose(exp_se3(dx[12:18]), t_gm),
     )
 
 
@@ -342,12 +339,12 @@ def _prior_terms(t_vm, varpi, t_gm, pred: EstimatorState):
     """Prior residual (log-map against predicted means) and its Jacobian E."""
     e_vm_pose = compose(t_vm, inverse(pred.t_vm))
     e_gm_pose = compose(t_gm, inverse(pred.t_gm))
-    e_vm = log_se3(e_vm_pose).vec
-    e_gm = log_se3(e_gm_pose).vec
-    e = np.concatenate([e_vm, varpi.vec - pred.varpi.vec, e_gm])
+    e_vm = log_se3(e_vm_pose)
+    e_gm = log_se3(e_gm_pose)
+    e = np.concatenate([e_vm, varpi - pred.varpi, e_gm])
     big_e = np.eye(STATE_DIM)
-    big_e[0:6, 0:6] = se3_left_jacobian_inv(Twist.from_vector(e_vm))
-    big_e[12:18, 12:18] = se3_left_jacobian_inv(Twist.from_vector(e_gm))
+    big_e[0:6, 0:6] = se3_left_jacobian_inv(e_vm)
+    big_e[12:18, 12:18] = se3_left_jacobian_inv(e_gm)
     return e, big_e
 
 
@@ -412,8 +409,8 @@ def _normal_equations(prior, terms, p_inv):
 
 
 def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
-            smap: SemanticMap, cam: CameraModel, noise: NoiseConfig,
-            opts: GaussNewtonOptions | None = None,
+            smap: SemanticMap, cam: CameraModel, noise: NoiseConfig, *,
+            tol: float = GN_TOL, max_iters: int = GN_MAX_ITERS,
             diagnostics: list | None = None) -> EstimatorState:
     """Iterated Gauss-Newton correction over the current time step.
 
@@ -422,8 +419,9 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
     MAX_HALVINGS times) whenever it would increase the frozen-weight
     objective, so accepted iterates never increase it. Each visited state is
     evaluated once: an accepted trial's terms are the next linearization point.
+    Iteration stops once an accepted step's norm is below tol, or after
+    max_iters iterations. A non-finite step raises SingularNormalEquations.
     """
-    opts = opts or GaussNewtonOptions()
     p_inv = np.linalg.inv(state_pred.cov)
     p_inv = 0.5 * (p_inv + p_inv.T)
 
@@ -433,11 +431,13 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
 
     x = (state_pred.t_vm, state_pred.varpi, state_pred.t_gm)
     prior, terms = evaluate(x)
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         a_mat, b_vec, weights = _normal_equations(prior, terms, p_inv)
         if np.linalg.cond(a_mat) > COND_LIMIT:
             raise SingularNormalEquations("normal equations are ill-conditioned")
         dx = np.linalg.solve(a_mat, b_vec)
+        if not np.isfinite(dx).all():  # a non-finite b shows here too
+            raise SingularNormalEquations("Gauss-Newton step is not finite")
 
         j0 = _objective(prior, terms, p_inv, weights)
         alpha = 1.0
@@ -453,7 +453,7 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
         x, prior, terms = trial, trial_prior, trial_terms
         if diagnostics is not None:
             diagnostics.append((j0, j1))
-        if np.linalg.norm(alpha * dx) < opts.tol:
+        if np.linalg.norm(alpha * dx) < tol:
             break
 
     # Posterior covariance from the normal equations at the accepted point.

@@ -31,6 +31,8 @@ class DegenerateLine(ValueError):
 
 @dataclass(frozen=True)
 class Pixel:
+    """A projected map point or an image-line endpoint; detections are (N, 2) arrays."""
+
     u: float
     v: float
 

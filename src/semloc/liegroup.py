@@ -1,12 +1,13 @@
 """Minimal SE(3)/SO(3) toolbox used by every other module.
 
 Conventions, fixed once and used everywhere:
-  * Twists are ordered (rho; phi): translation block first, rotation second.
+  * A twist is a (6,) float array ordered (rho; phi): translation block
+    first, rotation second.
   * Perturbations are applied on the left: T <- exp(dxi^) @ T.
   * Small-angle code paths switch to a 4-term Taylor series below
     SMALL_ANGLE to avoid catastrophic cancellation.
 
-All values are immutable after construction.
+Poses are immutable after construction.
 """
 
 from __future__ import annotations
@@ -45,37 +46,6 @@ def _check_rotation(r: np.ndarray) -> np.ndarray:
     if resid > _ORTHO_FIX:
         r = _polar_project(r)
     return r
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Element (rho; phi) of se(3); units depend on context (m or m/s, rad or rad/s)."""
-
-    rho: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float).reshape(3).copy()
-        phi = np.asarray(self.phi, dtype=float).reshape(3).copy()
-        if not (np.isfinite(rho).all() and np.isfinite(phi).all()):
-            raise ValueError("twist entries must be finite")
-        rho.flags.writeable = False
-        phi.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_vector(cls, v) -> "Twist":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
-    @classmethod
-    def zero(cls) -> "Twist":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.phi])
 
 
 @dataclass(frozen=True)
@@ -128,10 +98,10 @@ def so3_wedge(phi) -> np.ndarray:
     )
 
 
-def se3_wedge(xi: Twist) -> np.ndarray:
+def se3_wedge(xi) -> np.ndarray:
     m = np.zeros((4, 4))
-    m[:3, :3] = so3_wedge(xi.phi)
-    m[:3, 3] = xi.rho
+    m[:3, :3] = so3_wedge(xi[3:])
+    m[:3, 3] = xi[:3]
     return m
 
 
@@ -196,18 +166,19 @@ def so3_log(r) -> np.ndarray:
     return factor * vee
 
 
-def exp_se3(xi: Twist) -> Pose:
+def exp_se3(xi) -> Pose:
     """Closed-form exponential map: Rodrigues rotation + left-Jacobian translation."""
-    r = so3_exp(xi.phi)
-    trans = so3_left_jacobian(xi.phi) @ xi.rho
+    xi = np.asarray(xi, dtype=float)
+    r = so3_exp(xi[3:])
+    trans = so3_left_jacobian(xi[3:]) @ xi[:3]
     return Pose.from_rt(r, trans)
 
 
-def log_se3(pose: Pose) -> Twist:
+def log_se3(pose: Pose) -> np.ndarray:
     """Inverse of exp_se3; raises NearPiRotation within 1e-6 of pi."""
     phi = so3_log(pose.rotation)
     rho = so3_left_jacobian_inv(phi) @ pose.translation
-    return Twist(rho, phi)
+    return np.concatenate([rho, phi])
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -234,17 +205,17 @@ def adjoint(pose: Pose) -> np.ndarray:
     return out
 
 
-def se3_curly_wedge(xi: Twist) -> np.ndarray:
+def se3_curly_wedge(xi) -> np.ndarray:
     """ad operator of se(3) as a 6x6 matrix."""
     out = np.zeros((6, 6))
-    pw = so3_wedge(xi.phi)
+    pw = so3_wedge(xi[3:])
     out[:3, :3] = pw
-    out[:3, 3:] = so3_wedge(xi.rho)
+    out[:3, 3:] = so3_wedge(xi[:3])
     out[3:, 3:] = pw
     return out
 
 
-def se3_left_jacobian(xi: Twist) -> np.ndarray:
+def se3_left_jacobian(xi) -> np.ndarray:
     """Left Jacobian of SE(3) via the convergent series sum ad^n / (n+1)!."""
     ad = se3_curly_wedge(xi)
     term = np.eye(6)
@@ -257,5 +228,5 @@ def se3_left_jacobian(xi: Twist) -> np.ndarray:
     return total
 
 
-def se3_left_jacobian_inv(xi: Twist) -> np.ndarray:
+def se3_left_jacobian_inv(xi) -> np.ndarray:
     return np.linalg.inv(se3_left_jacobian(xi))

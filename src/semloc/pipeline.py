@@ -129,7 +129,6 @@ def run_scenario(config: RunConfig) -> RunResult:
     smap = simulator.generate_world(sc)
     truth = simulator.generate_trajectory(sc, smap)
     offsets = simulator.true_offsets(sc)
-    opts = estimator.GaussNewtonOptions(tol=params.tol, max_iters=params.max_iters)
 
     frame_errors = []
     gps_present = []
@@ -153,7 +152,8 @@ def run_scenario(config: RunConfig) -> RunResult:
             diag = []
             try:
                 state = estimator.correct(state, bundle, smap, cam, config.noise,
-                                          opts, diagnostics=diag)
+                                          tol=params.tol, max_iters=params.max_iters,
+                                          diagnostics=diag)
             except estimator.SingularNormalEquations as exc:
                 raise estimator.SingularNormalEquations(
                     f"frame {k}: {exc}"

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraModel, NEAR_PLANE, Pixel, camera_point, pinhole
-from .liegroup import Pose, Twist, compose, exp_se3, inverse
+from .geometry import CameraModel, NEAR_PLANE, camera_point, pinhole
+from .liegroup import Pose, compose, exp_se3, inverse
 from .semantic_map import LaneBoundary, SemanticMap, TrafficLight, nearby_lanes, nearby_lights
 
 _CH_GPS = 0
@@ -98,7 +98,7 @@ class Scenario:
 class GroundTruthFrame:
     t: float
     t_vm_true: Pose
-    varpi_true: Twist
+    varpi_true: np.ndarray  # (6,) read-only body twist
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,17 @@ class SensorFrame:
 
     t: float
     gps: Pose | None
-    light_pixels: tuple
-    lane_pixels: tuple
+    light_pixels: np.ndarray  # (N, 2) read-only
+    lane_pixels: np.ndarray  # (N, 2) read-only
     wheel: tuple  # (v, omega)
+
+    def __post_init__(self):
+        for name in ("light_pixels", "lane_pixels"):
+            px = np.array(getattr(self, name), dtype=float).reshape(-1, 2)
+            if not np.isfinite(px).all():
+                raise ValueError(f"{name} must be finite")
+            px.flags.writeable = False
+            object.__setattr__(self, name, px)
 
 
 def _rng(scenario: Scenario, frame: int, channel: int) -> np.random.Generator:
@@ -180,8 +188,9 @@ def generate_trajectory(scenario: Scenario, smap: SemanticMap) -> list[GroundTru
 
     def repeated(n, omega=0.0):
         """n frames of one body twist, each paired with its one-frame step pose."""
-        twist = Twist(np.array([v, 0.0, 0.0]), np.array([0.0, 0.0, omega]))
-        return [(twist, exp_se3(Twist.from_vector(dt * twist.vec)))] * n
+        twist = np.array([v, 0.0, 0.0, 0.0, 0.0, omega])
+        twist.flags.writeable = False  # shared by all n frames
+        return [(twist, exp_se3(dt * twist))] * n
 
     def straight_twists(length):
         return repeated(max(1, int(round(length / v / dt))))
@@ -218,7 +227,7 @@ def true_offsets(scenario: Scenario) -> list[Pose]:
             rng.normal(0.0, scenario.offset_drift_trans_std * sqrt_dt, 3),
             rng.normal(0.0, scenario.offset_drift_rot_std * sqrt_dt, 3),
         ])
-        offsets.append(compose(exp_se3(Twist.from_vector(w)), offsets[-1]))
+        offsets.append(compose(exp_se3(w), offsets[-1]))
     return offsets
 
 
@@ -266,8 +275,7 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
             rng.normal(0.0, scenario.gps_noise_trans_std, 3),
             rng.normal(0.0, scenario.gps_noise_rot_std, 3),
         ])
-        gps = compose(exp_se3(Twist.from_vector(n)),
-                      compose(t_vm, inverse(t_gm)))
+        gps = compose(exp_se3(n), compose(t_vm, inverse(t_gm)))
 
     out_rng = _rng(scenario, frame_index, _CH_OUTLIER)
 
@@ -275,11 +283,11 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
     px = _visible_pixels([x.position for x in lights], t_vm, cam, LIGHT_VISIBILITY_RADIUS)
     px = px + _rng(scenario, frame_index, _CH_LIGHT).normal(0.0, sigma_px, px.shape)
     light_pixels = []
-    for u, v in px.tolist():
-        light_pixels.append(Pixel(u, v))
+    for row in px:
+        light_pixels.append(row)
         if out_rng.random() < scenario.outlier_rate:
-            light_pixels.append(Pixel(out_rng.uniform(0, cam.width),
-                                      out_rng.uniform(0, cam.height)))
+            light_pixels.append((out_rng.uniform(0, cam.width),
+                                 out_rng.uniform(0, cam.height)))
 
     samples = _lane_samples(nearby_lanes(smap, origin, LANE_VISIBILITY_RADIUS))
     in_range = np.linalg.norm(samples - origin, axis=1) <= MAX_DETECTION_RANGE
@@ -287,14 +295,14 @@ def simulate_frame(truth: GroundTruthFrame, scenario: Scenario, smap: SemanticMa
     px = px + _rng(scenario, frame_index, _CH_LANE).normal(0.0, sigma_px, px.shape)
     n_outliers = out_rng.binomial(len(px), scenario.outlier_rate)
     outliers = out_rng.uniform((0, 0), (cam.width, cam.height), (n_outliers, 2))
-    lane_pixels = [Pixel(u, v) for u, v in np.concatenate([px, outliers]).tolist()]
+    lane_pixels = np.concatenate([px, outliers])
 
     wheel_rng = _rng(scenario, frame_index, _CH_WHEEL)
     wheel = (
-        float(truth.varpi_true.rho[0] + wheel_rng.normal(0.0, scenario.wheel_noise_v_std)),
-        float(truth.varpi_true.phi[2] + wheel_rng.normal(0.0, scenario.wheel_noise_w_std)),
+        float(truth.varpi_true[0] + wheel_rng.normal(0.0, scenario.wheel_noise_v_std)),
+        float(truth.varpi_true[5] + wheel_rng.normal(0.0, scenario.wheel_noise_w_std)),
     )
-    return SensorFrame(truth.t, gps, tuple(light_pixels), tuple(lane_pixels), wheel)
+    return SensorFrame(truth.t, gps, light_pixels, lane_pixels, wheel)
 
 
 def default_camera() -> CameraModel:

@@ -8,7 +8,7 @@ from semloc import estimator as est
 
 
 def rand_twist(rng, trans_scale=2.0, rot_scale=0.8):
-    return lg.Twist(rng.normal(0.0, trans_scale, 3), rng.normal(0.0, rot_scale, 3))
+    return np.r_[rng.normal(0.0, trans_scale, 3), rng.normal(0.0, rot_scale, 3)]
 
 
 def rand_pose(rng, trans_scale=2.0, rot_scale=0.8):

@@ -15,9 +15,9 @@ from semloc.geometry import BehindCamera, HorizontalLine
 
 
 def _unpack(pred, d):
-    t_vm = lg.compose(lg.exp_se3(lg.Twist.from_vector(d[0:6])), pred.t_vm)
-    varpi = lg.Twist.from_vector(pred.varpi.vec + d[6:12])
-    t_gm = lg.compose(lg.exp_se3(lg.Twist.from_vector(d[12:18])), pred.t_gm)
+    t_vm = lg.compose(lg.exp_se3(d[0:6]), pred.t_vm)
+    varpi = pred.varpi + d[6:12]
+    t_gm = lg.compose(lg.exp_se3(d[12:18]), pred.t_gm)
     return t_vm, varpi, t_gm
 
 
@@ -25,9 +25,9 @@ def _residual_blocks(pred, bundle, smap, cam, d):
     """(residual, kind) blocks at state pred (+) d; kind marks robust terms."""
     t_vm, varpi, t_gm = _unpack(pred, d)
     blocks = [
-        (lg.log_se3(lg.compose(t_vm, lg.inverse(pred.t_vm))).vec, "prior_vm"),
-        (varpi.vec - pred.varpi.vec, "prior_v"),
-        (lg.log_se3(lg.compose(t_gm, lg.inverse(pred.t_gm))).vec, "prior_gm"),
+        (lg.log_se3(lg.compose(t_vm, lg.inverse(pred.t_vm))), "prior_vm"),
+        (varpi - pred.varpi, "prior_v"),
+        (lg.log_se3(lg.compose(t_gm, lg.inverse(pred.t_gm))), "prior_gm"),
     ]
     if bundle.gps is not None:
         blocks.append((est.gps_error(bundle.gps, t_vm, t_gm), "gps"))
@@ -130,7 +130,7 @@ def solve(pred, bundle, smap, cam, noise, tol=1e-12, max_iters=60, fd_step=1e-7)
 
 def state_distance(a, b):
     """Scalar distance between two (t_vm, varpi, t_gm) triples."""
-    d_vm = np.linalg.norm(lg.log_se3(lg.compose(a[0], lg.inverse(b[0]))).vec)
-    d_v = np.linalg.norm(a[1].vec - b[1].vec)
-    d_gm = np.linalg.norm(lg.log_se3(lg.compose(a[2], lg.inverse(b[2]))).vec)
+    d_vm = np.linalg.norm(lg.log_se3(lg.compose(a[0], lg.inverse(b[0]))))
+    d_v = np.linalg.norm(a[1] - b[1])
+    d_gm = np.linalg.norm(lg.log_se3(lg.compose(a[2], lg.inverse(b[2]))))
     return d_vm + d_v + d_gm

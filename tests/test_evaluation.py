@@ -12,7 +12,7 @@ def yaw_pose(yaw, origin):
 
 
 def test_decompose_identical_poses(rng):
-    pose = lg.exp_se3(lg.Twist(rng.normal(size=3), rng.normal(0, 0.3, 3)))
+    pose = lg.exp_se3(np.r_[rng.normal(size=3), rng.normal(0, 0.3, 3)])
     lon, lat, heading = ev.decompose_error(pose, pose)
     assert lon == 0.0 and lat == 0.0 and heading < 1e-15
 

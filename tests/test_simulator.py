@@ -34,7 +34,7 @@ def test_trajectory_straight_segment_twist():
     scenario = sim.Scenario()
     smap = sim.generate_world(scenario)
     truth = sim.generate_trajectory(scenario, smap)
-    assert np.allclose(truth[0].varpi_true.vec,
+    assert np.allclose(truth[0].varpi_true,
                        [scenario.speed, 0, 0, 0, 0, 0])
 
 
@@ -42,7 +42,7 @@ def test_trajectory_turn_yaw_rate():
     scenario = sim.Scenario()
     smap = sim.generate_world(scenario)
     truth = sim.generate_trajectory(scenario, smap)
-    yaw_rates = np.array([abs(f.varpi_true.phi[2]) for f in truth])
+    yaw_rates = np.array([abs(f.varpi_true[5]) for f in truth])
     turning = yaw_rates[yaw_rates > 1e-9]
     assert len(turning) > 0
     expected = scenario.speed / scenario.turn_radius
@@ -55,7 +55,7 @@ def test_trajectory_kinematic_consistency():
     truth = sim.generate_trajectory(scenario, smap)
     dt = scenario.dt
     for prev, nxt in zip(truth[:-1], truth[1:]):
-        step = lg.exp_se3(lg.Twist.from_vector(dt * prev.varpi_true.vec))
+        step = lg.exp_se3(dt * prev.varpi_true)
         predicted = lg.compose(step, prev.t_vm_true)
         assert np.abs(predicted.t - nxt.t_vm_true.t).max() < 1e-12
 
@@ -103,6 +103,23 @@ def test_dropout_validation():
         sim.Scenario(duration=30.0, dropout_schedule=((10.0, 40.0),))
 
 
+def test_trajectory_twists_are_read_only():
+    scenario = sim.Scenario(duration=5.0)
+    truth = sim.generate_trajectory(scenario, sim.generate_world(scenario))
+    with pytest.raises(ValueError):
+        truth[0].varpi_true[0] = 0.0  # the twist is shared by many frames
+
+
+def test_sensor_frame_pixels_are_read_only_finite_arrays():
+    frame = sim.SensorFrame(0.0, None, [], [[1.0, 2.0]], (0.0, 0.0))
+    assert frame.light_pixels.shape == (0, 2) and frame.lane_pixels.shape == (1, 2)
+    with pytest.raises(ValueError):
+        frame.lane_pixels[0, 0] = 3.0
+    for bad in ([[np.nan, 1.0]], [[1.0, np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            sim.SensorFrame(0.0, None, bad, [], (0.0, 0.0))
+
+
 def test_simulate_frame_deterministic():
     scenario = sim.Scenario(seed=3, outlier_rate=0.2)
     smap = sim.generate_world(scenario)
@@ -111,8 +128,8 @@ def test_simulate_frame_deterministic():
     a = sim.simulate_frame(truth[77], scenario, smap, cam, 77)
     b = sim.simulate_frame(truth[77], scenario, smap, cam, 77)
     assert a.gps is not None and np.array_equal(a.gps.t, b.gps.t)
-    assert a.light_pixels == b.light_pixels
-    assert a.lane_pixels == b.lane_pixels
+    assert np.array_equal(a.light_pixels, b.light_pixels)
+    assert np.array_equal(a.lane_pixels, b.lane_pixels)
     assert a.wheel == b.wheel
 
 
@@ -166,7 +183,7 @@ def test_outlier_injection_adds_detections():
     dirty = sim.simulate_frame(truth[100], scenario_dirty, smap, cam, 100)
     assert len(dirty.lane_pixels) > len(clean.lane_pixels)
     # inlier detections are identical thanks to per-channel RNG streams
-    assert dirty.lane_pixels[: len(clean.lane_pixels)] == clean.lane_pixels
+    assert np.array_equal(dirty.lane_pixels[: len(clean.lane_pixels)], clean.lane_pixels)
 
 
 def test_trajectory_one_exp_per_distinct_twist(monkeypatch):
@@ -237,6 +254,5 @@ def test_simulate_frame_matches_per_point_reference():
         lights, lanes = _detections_reference(truth[k], scenario, smap, cam, k)
         for got, expected in ((sensor.light_pixels, lights), (sensor.lane_pixels, lanes)):
             assert len(got) == len(expected)
-            assert np.abs(np.array([p.vec for p in got]).reshape(-1, 2) - expected).max(
-                initial=0.0) < 1e-9
+            assert np.abs(got - expected).max(initial=0.0) < 1e-9
         assert len(sensor.lane_pixels) > 50
