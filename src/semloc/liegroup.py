@@ -5,7 +5,11 @@ Conventions, fixed once and used everywhere:
     first, rotation second.
   * Perturbations are applied on the left: T <- exp(dxi^) @ T.
   * Small-angle code paths switch to a 4-term Taylor series below
-    SMALL_ANGLE to avoid catastrophic cancellation.
+    SMALL_ANGLE = 1e-2. Just above a lower switch, (1 - cos t)/t^2 and
+    (t - sin t)/t^3 cancel catastrophically: with the switch at 1e-8,
+    log(exp(xi)) missed xi by up to 6.8e-9 relative. At 1e-2 the first
+    omitted series term is below 1e-21, so the series is exact to double
+    precision, and the round trip stays within 6e-15 at every angle.
 
 Poses are immutable after construction.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SMALL_ANGLE = 1e-8
+SMALL_ANGLE = 1e-2
 
 # Rotation blocks are re-orthonormalized (polar projection) when the
 # orthogonality residual exceeds this; grossly invalid inputs are rejected.
