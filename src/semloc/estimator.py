@@ -23,13 +23,16 @@ from .geometry import (
     HorizontalLine,
     ImageLine,
     NEAR_PLANE,
+    Pixel,
     line_x_at_y,
-    camera_point,
+    pinhole,
     point_projection_jacobian,
+    pose_jacobian_at,
     project_point,
 )
 from .liegroup import (
     Pose,
+    act,
     adjoint,
     compose,
     exp_se3,
@@ -202,64 +205,74 @@ def _gps_jacobian(t_vg_meas: Pose, t_vm: Pose, t_gm: Pose):
     return e, h
 
 
+def _light_position(match: LightMatch, smap: SemanticMap) -> np.ndarray:
+    try:
+        return smap.light_by_id(match.light_id).position
+    except KeyError as exc:
+        raise UnknownLandmark(match.light_id) from exc
+
+
 def light_error(match: LightMatch, t_vm: Pose, smap: SemanticMap,
                 cam: CameraModel) -> np.ndarray:
     """Reprojection residual: detection pixel minus projected map light."""
-    try:
-        light = smap.light_by_id(match.light_id)
-    except KeyError as exc:
-        raise UnknownLandmark(match.light_id) from exc
-    proj = project_point(light.position, t_vm, cam)
-    return match.detection - proj.vec
+    return match.detection - project_point(_light_position(match, smap), t_vm, cam).vec
 
 
 def _light_jacobian(match: LightMatch, t_vm: Pose, smap: SemanticMap,
                     cam: CameraModel):
-    e = light_error(match, t_vm, smap, cam)
-    light = smap.light_by_id(match.light_id)
+    pixel, jac = point_projection_jacobian(_light_position(match, smap), t_vm, cam)
     h = np.zeros((2, STATE_DIM))
-    h[:, 0:6] = -point_projection_jacobian(light.position, t_vm, cam)
-    return e, h
+    h[:, 0:6] = -jac
+    return match.detection - pixel, h
 
 
-def _lane_segment_pixels(match: LaneMatch, t_vm: Pose, cam: CameraModel):
-    """Endpoints of the projected lane line at the current pose.
+def _lane_endpoints(match: LaneMatch, t_vm: Pose, cam: CameraModel):
+    """Vehicle- and camera-frame points (p_v, q) of the projected lane line's
+    two defining points at the current pose.
 
-    The match's map-frame segment is re-projected each call (clipped at the
-    near plane; clipping slides a defining point along the same image line,
-    so the line is unaffected).
+    The match's map-frame segment is re-projected each call, one transform
+    per endpoint. An endpoint behind the near plane is replaced by the
+    segment's crossing of it, which is transformed once more; clipping
+    slides a defining point along the same image line, so the line is
+    unaffected.
     """
     pa = np.asarray(match.segment_map[0], dtype=float)
     pb = np.asarray(match.segment_map[1], dtype=float)
-    qa = camera_point(pa, t_vm, cam)
-    qb = camera_point(pb, t_vm, cam)
+
+    def transformed(p_m):
+        p_v = act(t_vm, p_m)
+        return p_v, act(cam.t_cv, p_v)
+
+    (va, qa), (vb, qb) = transformed(pa), transformed(pb)
     near = NEAR_PLANE + 1e-6
     if qa[2] <= near and qb[2] <= near:
         raise BehindCamera("lane segment behind camera")
     if qa[2] <= near:
-        s = (near - qa[2]) / (qb[2] - qa[2])
-        pa = pa + s * (pb - pa)
+        va, qa = transformed(pa + (near - qa[2]) / (qb[2] - qa[2]) * (pb - pa))
     elif qb[2] <= near:
-        s = (near - qb[2]) / (qa[2] - qb[2])
-        pb = pb + s * (pa - pb)
-    return (project_point(pa, t_vm, cam), project_point(pb, t_vm, cam), pa, pb)
+        vb, qb = transformed(pb + (near - qb[2]) / (qa[2] - qb[2]) * (pa - pb))
+    return (va, qa), (vb, qb)
+
+
+def _lane_residual(match: LaneMatch, y: np.ndarray, qa, qb, cam: CameraModel):
+    """Fitted minus projected line columns at rows y, and the projected endpoints."""
+    a = Pixel(*pinhole(qa, cam))
+    b = Pixel(*pinhole(qb, cam))
+    e = line_x_at_y(match.fitted, y) - line_x_at_y(ImageLine(a, b), y)
+    return e, a, b
 
 
 def lane_error(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel) -> np.ndarray:
     """Horizontal offsets between the fitted detection line and the projection."""
     y = np.asarray(y_rows, dtype=float).reshape(2)
-    a, b, _, _ = _lane_segment_pixels(match, t_vm, cam)
-    projected = ImageLine(a, b)
-    x_fit = line_x_at_y(match.fitted, y)
-    x_proj = line_x_at_y(projected, y)
-    return x_fit - x_proj
+    (_, qa), (_, qb) = _lane_endpoints(match, t_vm, cam)
+    return _lane_residual(match, y, qa, qb, cam)[0]
 
 
 def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel):
     y = np.asarray(y_rows, dtype=float).reshape(2)
-    a, b, pa, pb = _lane_segment_pixels(match, t_vm, cam)
-    projected = ImageLine(a, b)
-    e = line_x_at_y(match.fitted, y) - line_x_at_y(projected, y)
+    (va, qa), (vb, qb) = _lane_endpoints(match, t_vm, cam)
+    e, a, b = _lane_residual(match, y, qa, qb, cam)
     dv = b.v - a.v
     du = b.u - a.u
     # d x(y) / d (a_u, a_v, b_u, b_v) for each requested row
@@ -270,8 +283,8 @@ def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel):
         m[j, 1] = du * (y[j] - b.v) / (dv * dv)
         m[j, 2] = s
         m[j, 3] = -du * (y[j] - a.v) / (dv * dv)
-    ja = point_projection_jacobian(pa, t_vm, cam)
-    jb = point_projection_jacobian(pb, t_vm, cam)
+    ja = pose_jacobian_at(va, qa, cam)
+    jb = pose_jacobian_at(vb, qb, cam)
     h = np.zeros((2, STATE_DIM))
     h[:, 0:6] = -m @ np.vstack([ja, jb])
     return e, h
@@ -348,33 +361,43 @@ def _prior_terms(t_vm, varpi, t_gm, pred: EstimatorState):
     return e, big_e
 
 
+def _information(noise: NoiseConfig) -> dict:
+    """Information matrices of the measurement noises, by term kind."""
+    return {
+        "gps": np.linalg.inv(noise.r_vg),
+        "light": np.linalg.inv(noise.r_light),
+        "lane": np.linalg.inv(noise.r_lane),
+        "wheel": np.linalg.inv(noise.r_wheel),
+        "pseudo": np.diag(1.0 / noise.r_pseudo),
+    }
+
+
 def _measurement_terms(t_vm, varpi, t_gm, bundle: MeasurementBundle,
-                       smap, cam, noise: NoiseConfig):
-    """List of (error, jacobian, base information, robust flag)."""
+                       smap, cam, info: dict):
+    """List of (error, jacobian, base information, robust flag); info is
+    `_information(noise)`."""
     terms = []
     if bundle.gps is not None:
         e, h = _gps_jacobian(bundle.gps, t_vm, t_gm)
-        terms.append((e, h, np.linalg.inv(noise.r_vg), False))
-    r_light_inv = np.linalg.inv(noise.r_light)
+        terms.append((e, h, info["gps"], False))
     for match in bundle.light_matches:
         try:
             e, h = _light_jacobian(match, t_vm, smap, cam)
         except BehindCamera:
             continue
-        terms.append((e, h, r_light_inv, True))
-    r_lane_inv = np.linalg.inv(noise.r_lane)
+        terms.append((e, h, info["light"], True))
     for match, y_rows in bundle.lane_matches:
         try:
             e, h = _lane_jacobian(match, y_rows, t_vm, cam)
         except (BehindCamera, HorizontalLine, DegenerateLine):
             continue
-        terms.append((e, h, r_lane_inv, True))
+        terms.append((e, h, info["lane"], True))
     if bundle.wheel is not None:
         e = wheel_error(bundle.wheel, varpi)
-        terms.append((e, _WHEEL_H, np.linalg.inv(noise.r_wheel), False))
+        terms.append((e, _WHEEL_H, info["wheel"], False))
     if bundle.use_pseudo:
         e, h = _pseudo_jacobian(t_vm, varpi)
-        terms.append((e, h, np.diag(1.0 / noise.r_pseudo), False))
+        terms.append((e, h, info["pseudo"], False))
     return terms
 
 
@@ -424,10 +447,11 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
     """
     p_inv = np.linalg.inv(state_pred.cov)
     p_inv = 0.5 * (p_inv + p_inv.T)
+    info = _information(noise)
 
     def evaluate(x):
         return (_prior_terms(*x, state_pred),
-                _measurement_terms(*x, bundle, smap, cam, noise))
+                _measurement_terms(*x, bundle, smap, cam, info))
 
     x = (state_pred.t_vm, state_pred.varpi, state_pred.t_gm)
     prior, terms = evaluate(x)
@@ -460,4 +484,6 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
     a_mat, _, _ = _normal_equations(prior, terms, p_inv)
     cov = np.linalg.inv(a_mat)
     cov = 0.5 * (cov + cov.T)
-    return EstimatorState(*x, cov)
+    # the kept state re-enters through the checked constructor, once per frame
+    t_vm, varpi, t_gm = x
+    return EstimatorState(Pose(t_vm.t), varpi, Pose(t_gm.t), cov)

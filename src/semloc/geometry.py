@@ -189,15 +189,22 @@ def pixel_jacobian_wrt_camera_point(q: np.ndarray, cam: CameraModel) -> np.ndarr
     )
 
 
-def point_projection_jacobian(p_m, t_vm: Pose, cam: CameraModel) -> np.ndarray:
-    """2x6 Jacobian of the projected pixel w.r.t. a left pose perturbation.
+def pose_jacobian_at(p_v: np.ndarray, q: np.ndarray, cam: CameraModel) -> np.ndarray:
+    """2x6 Jacobian of the pixel of vehicle-frame point p_v, whose camera-frame
+    point is q, w.r.t. a left perturbation of T_vm.
 
     Perturbation convention: T_vm <- exp(dxi^) T_vm with dxi = (drho; dphi).
     """
+    dpix_dq = pixel_jacobian_wrt_camera_point(q, cam)
+    dq_dxi = cam.t_cv.rotation @ np.hstack([np.eye(3), -so3_wedge(p_v)])
+    return dpix_dq @ dq_dxi
+
+
+def point_projection_jacobian(p_m, t_vm: Pose, cam: CameraModel):
+    """Pixel (2,) of a map-frame point and its 2x6 Jacobian w.r.t. a left pose
+    perturbation, both from one camera-frame point."""
     p_v = act(t_vm, p_m)
     q = act(cam.t_cv, p_v)
     if q[2] <= NEAR_PLANE:
         raise BehindCamera(f"depth {q[2]:.4f} <= {NEAR_PLANE}")
-    dpix_dq = pixel_jacobian_wrt_camera_point(q, cam)
-    dq_dxi = cam.t_cv.rotation @ np.hstack([np.eye(3), -so3_wedge(p_v)])
-    return dpix_dq @ dq_dxi
+    return pinhole(q, cam), pose_jacobian_at(p_v, q, cam)

@@ -11,7 +11,13 @@ Conventions, fixed once and used everywhere:
     omitted series term is below 1e-21, so the series is exact to double
     precision, and the round trip stays within 6e-15 at every angle.
 
-Poses are immutable after construction.
+Poses are immutable after construction. Only the public constructors
+(`Pose(m)`, `Pose.from_rt`, `Pose.identity`) check the rotation block:
+they reject a non-rotation, polar-repair one whose orthogonality residual
+exceeds 1e-7, and reject non-finite entries. `compose`, `inverse` and
+`exp_se3` build their results from valid inputs and skip the check, so a
+caller that chains many products (the estimator's correction) re-enters
+through `Pose(...)` once per result it keeps.
 """
 
 from __future__ import annotations
@@ -70,6 +76,15 @@ class Pose:
             raise ValueError("pose entries must be finite")
         fixed.flags.writeable = False
         object.__setattr__(self, "t", fixed)
+
+    @classmethod
+    def _unchecked(cls, m) -> "Pose":
+        """A read-only copy of the 4x4 m, taken as a valid rigid transform."""
+        pose = object.__new__(cls)
+        m = np.array(m, dtype=float)
+        m.flags.writeable = False
+        object.__setattr__(pose, "t", m)
+        return pose
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -173,9 +188,10 @@ def so3_log(r) -> np.ndarray:
 def exp_se3(xi) -> Pose:
     """Closed-form exponential map: Rodrigues rotation + left-Jacobian translation."""
     xi = np.asarray(xi, dtype=float)
-    r = so3_exp(xi[3:])
-    trans = so3_left_jacobian(xi[3:]) @ xi[:3]
-    return Pose.from_rt(r, trans)
+    m = np.eye(4)
+    m[:3, :3] = so3_exp(xi[3:])
+    m[:3, 3] = so3_left_jacobian(xi[3:]) @ xi[:3]
+    return Pose._unchecked(m)
 
 
 def log_se3(pose: Pose) -> np.ndarray:
@@ -186,12 +202,15 @@ def log_se3(pose: Pose) -> np.ndarray:
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    return Pose(a.t @ b.t)
+    return Pose._unchecked(a.t @ b.t)
 
 
 def inverse(a: Pose) -> Pose:
     rt = a.rotation.T
-    return Pose.from_rt(rt, -rt @ a.translation)
+    m = np.eye(4)
+    m[:3, :3] = rt
+    m[:3, 3] = -rt @ a.translation
+    return Pose._unchecked(m)
 
 
 def act(a: Pose, p) -> np.ndarray:

@@ -185,7 +185,7 @@ def test_jacobian_suite():
         worst["G"] = max(worst["G"], rel(g_analytic, fd_eg[18:, :]))
 
         if light is not None:
-            j_proj = point_projection_jacobian(light.position, t_vm, cam)
+            _, j_proj = point_projection_jacobian(light.position, t_vm, cam)
             fd_proj = np.zeros((2, 6))
             for i in range(6):
                 d6 = np.zeros(6)

@@ -436,7 +436,7 @@ def test_correct_drops_lane_along_camera_ray(rng):
         est.lane_error(match, y_rows, pred.t_vm, CAM)
     bundle = est.MeasurementBundle(dt=0.1, lane_matches=((match, y_rows),))
     terms = est._measurement_terms(pred.t_vm, pred.varpi, pred.t_gm, bundle,
-                                   smap, CAM, noise)
+                                   smap, CAM, est._information(noise))
     assert len(terms) == 1  # only the pseudo-measurements
     post = est.correct(pred, bundle, smap, CAM, noise)
     assert np.isfinite(post.cov).all()

@@ -110,7 +110,7 @@ def test_pixel_jacobian_depth_scaling():
 
 def test_point_projection_jacobian_zero_perturbation():
     cam = default_camera()
-    jac = geo.point_projection_jacobian([-20.0, 1.0, 5.0], lg.Pose.identity(), cam)
+    _, jac = geo.point_projection_jacobian([-20.0, 1.0, 5.0], lg.Pose.identity(), cam)
     assert np.allclose(jac @ np.zeros(6), 0.0)
 
 
@@ -122,7 +122,8 @@ def test_point_projection_jacobian_matches_fd(rng):
         # point in front of the camera at this pose
         p_v = np.array([-rng.uniform(5, 40), rng.uniform(-5, 5), rng.uniform(0, 5)])
         p_m = lg.act(lg.inverse(pose), p_v)
-        jac = geo.point_projection_jacobian(p_m, pose, cam)
+        pixel, jac = geo.point_projection_jacobian(p_m, pose, cam)
+        assert np.array_equal(pixel, geo.project_point(p_m, pose, cam).vec)
         fd = np.zeros((2, 6))
         for i in range(6):
             d = np.zeros(6)
