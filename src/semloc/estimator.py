@@ -79,9 +79,11 @@ class NoiseConfig:
                 raise ValueError(f"{name} must have shape {shape}")
             if np.abs(m - m.T).max() > 1e-9:
                 raise ValueError(f"{name} must be symmetric")
+            if not (np.isfinite(m).all() and np.linalg.eigvalsh(m).min() > 0):
+                raise ValueError(f"{name} must be finite and positive definite")
             object.__setattr__(self, name, m)
         r_pseudo = np.asarray(self.r_pseudo, dtype=float).reshape(4)
-        if (r_pseudo <= 0).any():
+        if not (r_pseudo > 0).all():  # NaN fails too
             raise ValueError("pseudo-measurement variances must be positive")
         object.__setattr__(self, "r_pseudo", r_pseudo)
 
@@ -226,67 +228,48 @@ def _light_jacobian(match: LightMatch, t_vm: Pose, smap: SemanticMap,
     return match.detection - pixel, h
 
 
-def _lane_endpoints(match: LaneMatch, t_vm: Pose, cam: CameraModel):
-    """Vehicle- and camera-frame points (p_v, q) of the projected lane line's
-    two defining points at the current pose.
+def _lane_projection(match: LaneMatch, y: np.ndarray, t_vm: Pose, cam: CameraModel):
+    """Lane residual at rows y, the projected endpoint pixels a and b, and
+    their vehicle- and camera-frame points p_v and q (2, 3).
 
     The match's map-frame segment is re-projected each call, one transform
-    per endpoint. An endpoint behind the near plane is replaced by the
-    segment's crossing of it, which is transformed once more; clipping
-    slides a defining point along the same image line, so the line is
-    unaffected.
+    per endpoint. An endpoint behind the near plane slides along the segment
+    to its crossing of the plane, in both frames; that moves a defining
+    point along the same image line, so the line is unaffected.
     """
-    pa = np.asarray(match.segment_map[0], dtype=float)
-    pb = np.asarray(match.segment_map[1], dtype=float)
-
-    def transformed(p_m):
-        p_v = act(t_vm, p_m)
-        return p_v, act(cam.t_cv, p_v)
-
-    (va, qa), (vb, qb) = transformed(pa), transformed(pb)
+    p_v = act(t_vm, np.asarray(match.segment_map, dtype=float))
+    q = act(cam.t_cv, p_v)
     near = NEAR_PLANE + 1e-6
-    if qa[2] <= near and qb[2] <= near:
+    behind = q[:, 2] <= near
+    if behind.all():
         raise BehindCamera("lane segment behind camera")
-    if qa[2] <= near:
-        va, qa = transformed(pa + (near - qa[2]) / (qb[2] - qa[2]) * (pb - pa))
-    elif qb[2] <= near:
-        vb, qb = transformed(pb + (near - qb[2]) / (qa[2] - qb[2]) * (pa - pb))
-    return (va, qa), (vb, qb)
-
-
-def _lane_residual(match: LaneMatch, y: np.ndarray, qa, qb, cam: CameraModel):
-    """Fitted minus projected line columns at rows y, and the projected endpoints."""
-    a = Pixel(*pinhole(qa, cam))
-    b = Pixel(*pinhole(qb, cam))
+    if behind.any():
+        i = int(behind[1])  # the endpoint behind the plane; 1 - i is in front
+        s = (near - q[i, 2]) / (q[1 - i, 2] - q[i, 2])
+        p_v[i] += s * (p_v[1 - i] - p_v[i])
+        q[i] += s * (q[1 - i] - q[i])
+    a, b = Pixel(*pinhole(q[0], cam)), Pixel(*pinhole(q[1], cam))
     e = line_x_at_y(match.fitted, y) - line_x_at_y(ImageLine(a, b), y)
-    return e, a, b
+    return e, a, b, p_v, q
 
 
 def lane_error(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel) -> np.ndarray:
     """Horizontal offsets between the fitted detection line and the projection."""
     y = np.asarray(y_rows, dtype=float).reshape(2)
-    (_, qa), (_, qb) = _lane_endpoints(match, t_vm, cam)
-    return _lane_residual(match, y, qa, qb, cam)[0]
+    return _lane_projection(match, y, t_vm, cam)[0]
 
 
 def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel):
     y = np.asarray(y_rows, dtype=float).reshape(2)
-    (va, qa), (vb, qb) = _lane_endpoints(match, t_vm, cam)
-    e, a, b = _lane_residual(match, y, qa, qb, cam)
-    dv = b.v - a.v
-    du = b.u - a.u
+    e, a, b, p_v, q = _lane_projection(match, y, t_vm, cam)
+    dv, du = b.v - a.v, b.u - a.u
+    s = (y - a.v) / dv
     # d x(y) / d (a_u, a_v, b_u, b_v) for each requested row
-    m = np.zeros((2, 4))
-    for j in range(2):
-        s = (y[j] - a.v) / dv
-        m[j, 0] = 1.0 - s
-        m[j, 1] = du * (y[j] - b.v) / (dv * dv)
-        m[j, 2] = s
-        m[j, 3] = -du * (y[j] - a.v) / (dv * dv)
-    ja = pose_jacobian_at(va, qa, cam)
-    jb = pose_jacobian_at(vb, qb, cam)
+    m = np.column_stack([1.0 - s, du * (y - b.v) / (dv * dv), s,
+                         -du * (y - a.v) / (dv * dv)])
+    jac = np.vstack([pose_jacobian_at(p_v[k], q[k], cam) for k in (0, 1)])
     h = np.zeros((2, STATE_DIM))
-    h[:, 0:6] = -m @ np.vstack([ja, jb])
+    h[:, 0:6] = -m @ jac
     return e, h
 
 
@@ -350,10 +333,8 @@ def apply_perturbation(t_vm: Pose, varpi: np.ndarray, t_gm: Pose, dx: np.ndarray
 
 def _prior_terms(t_vm, varpi, t_gm, pred: EstimatorState):
     """Prior residual (log-map against predicted means) and its Jacobian E."""
-    e_vm_pose = compose(t_vm, inverse(pred.t_vm))
-    e_gm_pose = compose(t_gm, inverse(pred.t_gm))
-    e_vm = log_se3(e_vm_pose)
-    e_gm = log_se3(e_gm_pose)
+    e_vm = log_se3(compose(t_vm, inverse(pred.t_vm)))
+    e_gm = log_se3(compose(t_gm, inverse(pred.t_gm)))
     e = np.concatenate([e_vm, varpi - pred.varpi, e_gm])
     big_e = np.eye(STATE_DIM)
     big_e[0:6, 0:6] = se3_left_jacobian_inv(e_vm)
@@ -362,14 +343,10 @@ def _prior_terms(t_vm, varpi, t_gm, pred: EstimatorState):
 
 
 def _information(noise: NoiseConfig) -> dict:
-    """Information matrices of the measurement noises, by term kind."""
-    return {
-        "gps": np.linalg.inv(noise.r_vg),
-        "light": np.linalg.inv(noise.r_light),
-        "lane": np.linalg.inv(noise.r_lane),
-        "wheel": np.linalg.inv(noise.r_wheel),
-        "pseudo": np.diag(1.0 / noise.r_pseudo),
-    }
+    """Inverse noise covariances of the measurement terms, by NoiseConfig field."""
+    info = {name: np.linalg.inv(getattr(noise, name))
+            for name in ("r_vg", "r_light", "r_lane", "r_wheel")}
+    return {**info, "r_pseudo": np.diag(1.0 / noise.r_pseudo)}
 
 
 def _measurement_terms(t_vm, varpi, t_gm, bundle: MeasurementBundle,
@@ -379,25 +356,25 @@ def _measurement_terms(t_vm, varpi, t_gm, bundle: MeasurementBundle,
     terms = []
     if bundle.gps is not None:
         e, h = _gps_jacobian(bundle.gps, t_vm, t_gm)
-        terms.append((e, h, info["gps"], False))
+        terms.append((e, h, info["r_vg"], False))
     for match in bundle.light_matches:
         try:
             e, h = _light_jacobian(match, t_vm, smap, cam)
         except BehindCamera:
             continue
-        terms.append((e, h, info["light"], True))
+        terms.append((e, h, info["r_light"], True))
     for match, y_rows in bundle.lane_matches:
         try:
             e, h = _lane_jacobian(match, y_rows, t_vm, cam)
         except (BehindCamera, HorizontalLine, DegenerateLine):
             continue
-        terms.append((e, h, info["lane"], True))
+        terms.append((e, h, info["r_lane"], True))
     if bundle.wheel is not None:
         e = wheel_error(bundle.wheel, varpi)
-        terms.append((e, _WHEEL_H, info["wheel"], False))
+        terms.append((e, _WHEEL_H, info["r_wheel"], False))
     if bundle.use_pseudo:
         e, h = _pseudo_jacobian(t_vm, varpi)
-        terms.append((e, h, info["pseudo"], False))
+        terms.append((e, h, info["r_pseudo"], False))
     return terms
 
 

@@ -190,14 +190,10 @@ def pixel_jacobian_wrt_camera_point(q: np.ndarray, cam: CameraModel) -> np.ndarr
 
 
 def pose_jacobian_at(p_v: np.ndarray, q: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """2x6 Jacobian of the pixel of vehicle-frame point p_v, whose camera-frame
-    point is q, w.r.t. a left perturbation of T_vm.
-
-    Perturbation convention: T_vm <- exp(dxi^) T_vm with dxi = (drho; dphi).
-    """
-    dpix_dq = pixel_jacobian_wrt_camera_point(q, cam)
+    """2x6 Jacobian of the pixel of camera-frame point q = T_cv p_v w.r.t. the
+    left perturbation T_vm <- exp(dxi^) T_vm, dxi = (drho; dphi)."""
     dq_dxi = cam.t_cv.rotation @ np.hstack([np.eye(3), -so3_wedge(p_v)])
-    return dpix_dq @ dq_dxi
+    return pixel_jacobian_wrt_camera_point(q, cam) @ dq_dxi
 
 
 def point_projection_jacobian(p_m, t_vm: Pose, cam: CameraModel):

@@ -11,13 +11,10 @@ Conventions, fixed once and used everywhere:
     omitted series term is below 1e-21, so the series is exact to double
     precision, and the round trip stays within 6e-15 at every angle.
 
-Poses are immutable after construction. Only the public constructors
-(`Pose(m)`, `Pose.from_rt`, `Pose.identity`) check the rotation block:
-they reject a non-rotation, polar-repair one whose orthogonality residual
-exceeds 1e-7, and reject non-finite entries. `compose`, `inverse` and
-`exp_se3` build their results from valid inputs and skip the check, so a
-caller that chains many products (the estimator's correction) re-enters
-through `Pose(...)` once per result it keeps.
+Poses are immutable. Only the public constructors (`Pose(m)`, `from_rt`,
+`identity`) check the rotation block; `compose`, `inverse` and `exp_se3`
+build their results unchecked. The SE(3) left Jacobians are closed forms
+(Barfoot, State Estimation for Robotics, 2017, sec. 7.1.5).
 """
 
 from __future__ import annotations
@@ -68,23 +65,10 @@ class Pose:
         t = np.asarray(self.t, dtype=float)
         if t.shape != (4, 4):
             raise ValueError(f"pose must be 4x4, got {t.shape}")
-        r = _check_rotation(t[:3, :3])
-        fixed = np.eye(4)
-        fixed[:3, :3] = r
-        fixed[:3, 3] = t[:3, 3]
+        fixed = _matrix(_check_rotation(t[:3, :3]), t[:3, 3])
         if not np.isfinite(fixed).all():
             raise ValueError("pose entries must be finite")
-        fixed.flags.writeable = False
         object.__setattr__(self, "t", fixed)
-
-    @classmethod
-    def _unchecked(cls, m) -> "Pose":
-        """A read-only copy of the 4x4 m, taken as a valid rigid transform."""
-        pose = object.__new__(cls)
-        m = np.array(m, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(pose, "t", m)
-        return pose
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -92,10 +76,7 @@ class Pose:
 
     @classmethod
     def from_rt(cls, r, trans) -> "Pose":
-        m = np.eye(4)
-        m[:3, :3] = np.asarray(r, dtype=float)
-        m[:3, 3] = np.asarray(trans, dtype=float).reshape(3)
-        return cls(m)
+        return cls(_matrix(r, np.reshape(trans, 3)))
 
     @property
     def rotation(self) -> np.ndarray:
@@ -104,6 +85,22 @@ class Pose:
     @property
     def translation(self) -> np.ndarray:
         return self.t[:3, 3]
+
+
+def _matrix(r, trans) -> np.ndarray:
+    """Read-only 4x4 rigid transform [[r, trans], [0, 1]]."""
+    m = np.eye(4)
+    m[:3, :3] = r
+    m[:3, 3] = trans
+    m.flags.writeable = False
+    return m
+
+
+def _pose(r, trans) -> Pose:
+    """Unchecked pose from blocks computed from valid poses and twists."""
+    pose = object.__new__(Pose)
+    object.__setattr__(pose, "t", _matrix(r, trans))
+    return pose
 
 
 def so3_wedge(phi) -> np.ndarray:
@@ -188,10 +185,7 @@ def so3_log(r) -> np.ndarray:
 def exp_se3(xi) -> Pose:
     """Closed-form exponential map: Rodrigues rotation + left-Jacobian translation."""
     xi = np.asarray(xi, dtype=float)
-    m = np.eye(4)
-    m[:3, :3] = so3_exp(xi[3:])
-    m[:3, 3] = so3_left_jacobian(xi[3:]) @ xi[:3]
-    return Pose._unchecked(m)
+    return _pose(so3_exp(xi[3:]), so3_left_jacobian(xi[3:]) @ xi[:3])
 
 
 def log_se3(pose: Pose) -> np.ndarray:
@@ -202,15 +196,13 @@ def log_se3(pose: Pose) -> np.ndarray:
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    return Pose._unchecked(a.t @ b.t)
+    m = a.t @ b.t
+    return _pose(m[:3, :3], m[:3, 3])
 
 
 def inverse(a: Pose) -> Pose:
     rt = a.rotation.T
-    m = np.eye(4)
-    m[:3, :3] = rt
-    m[:3, 3] = -rt @ a.translation
-    return Pose._unchecked(m)
+    return _pose(rt, -rt @ a.translation)
 
 
 def act(a: Pose, p) -> np.ndarray:
@@ -218,38 +210,48 @@ def act(a: Pose, p) -> np.ndarray:
     return np.asarray(p, dtype=float) @ a.rotation.T + a.translation
 
 
+def _upper_triangular(diag: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """6x6 [[diag, corner], [0, diag]] of 3x3 blocks."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = diag
+    out[:3, 3:] = corner
+    return out
+
+
 def adjoint(pose: Pose) -> np.ndarray:
     """6x6 adjoint: exp((Ad_T xi)^) = T exp(xi^) T^{-1}, (rho; phi) ordering."""
     r = pose.rotation
-    out = np.zeros((6, 6))
-    out[:3, :3] = r
-    out[:3, 3:] = so3_wedge(pose.translation) @ r
-    out[3:, 3:] = r
-    return out
+    return _upper_triangular(r, so3_wedge(pose.translation) @ r)
 
 
-def se3_curly_wedge(xi) -> np.ndarray:
-    """ad operator of se(3) as a 6x6 matrix."""
-    out = np.zeros((6, 6))
-    pw = so3_wedge(xi[3:])
-    out[:3, :3] = pw
-    out[:3, 3:] = so3_wedge(xi[:3])
-    out[3:, 3:] = pw
-    return out
+def _se3_q(xi) -> np.ndarray:
+    """Q(rho, phi), the corner block of the SE(3) left Jacobian."""
+    xi = np.asarray(xi, dtype=float)
+    rw, pw = so3_wedge(xi[:3]), so3_wedge(xi[3:])
+    theta = np.linalg.norm(xi[3:])
+    t2 = theta * theta
+    if theta < SMALL_ANGLE:
+        a = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 * t2 * t2 / 362880.0
+        b = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0 - t2 * t2 * t2 / 3628800.0
+        c = 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0 - t2 * t2 * t2 / 9979200.0
+    else:
+        s = np.sin(theta)
+        a = (theta - s) / theta ** 3
+        # cos - 1 as -2 sin^2(theta/2), which does not cancel against 1
+        b = (0.5 * t2 - 2.0 * np.sin(0.5 * theta) ** 2) / (t2 * t2)
+        c = (2.0 * theta - 3.0 * s + theta * np.cos(theta)) / (2.0 * theta ** 5)
+    pr, rp = pw @ rw, rw @ pw
+    prp = pr @ pw
+    return (0.5 * rw + a * (pr + rp + prp) + b * (pw @ pr + rp @ pw - 3.0 * prp)
+            + c * (prp @ pw + pw @ prp))
 
 
 def se3_left_jacobian(xi) -> np.ndarray:
-    """Left Jacobian of SE(3) via the convergent series sum ad^n / (n+1)!."""
-    ad = se3_curly_wedge(xi)
-    term = np.eye(6)
-    total = np.eye(6)
-    for n in range(1, 60):
-        term = term @ ad / (n + 1.0)
-        total = total + term
-        if np.abs(term).max() < 1e-18:
-            break
-    return total
+    """Left Jacobian of SE(3), [[J, Q], [0, J]] with J that of SO(3) at phi."""
+    return _upper_triangular(so3_left_jacobian(xi[3:]), _se3_q(xi))
 
 
 def se3_left_jacobian_inv(xi) -> np.ndarray:
-    return np.linalg.inv(se3_left_jacobian(xi))
+    """Inverse left Jacobian of SE(3), [[J^-1, -J^-1 Q J^-1], [0, J^-1]]."""
+    j_inv = so3_left_jacobian_inv(xi[3:])
+    return _upper_triangular(j_inv, -j_inv @ _se3_q(xi) @ j_inv)

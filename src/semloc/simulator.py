@@ -58,6 +58,8 @@ class Scenario:
     offset_drift_rot_std: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError("duration must be positive and finite")
         if not self.rate > 0:
             raise ValueError("rate must be positive")
         if not self.speed > 0:

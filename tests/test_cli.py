@@ -105,11 +105,14 @@ def test_config_json_reruns_byte_for_byte(tmp_path):
     ("scenario", "speed", 0),
     ("estimator", "max_iters", -3),
     ("estimator", "icp_iters", -1),
+    ("noise", "r_lane_diag", [-4.0, -4.0]),
+    ("noise", "q_c_diag", [-1.0] * 6),
+    ("scenario", "duration", float("nan")),
 ], ids=["dropout_schedule", "cov0_diag", "offset", "scenario", "seed",
         "max_iters", "subsample_stride", "light_gate", "lane_radius",
         "outlier_rate", "detection_noise_px", "gps_noise_trans_std",
         "wheel_noise_v_std", "seed_negative", "speed_zero", "max_iters_negative",
-        "icp_iters_negative"])
+        "icp_iters_negative", "r_lane_not_pd", "q_c_not_pd", "duration_nan"])
 def test_config_malformed_value(tmp_path, section, key, value):
     doc = cm.preset("nominal")
     (doc[section] if section else doc)[key] = value

@@ -118,3 +118,17 @@ def test_pose_rejects_non_rotation():
     bad[0, 0] = 2.0
     with pytest.raises(ValueError):
         lg.Pose(bad)
+
+
+def test_run_checks_poses_only_where_they_enter(monkeypatch):
+    """Products of checked poses are not re-checked; correct() passes its
+    result through the checked constructor once per frame."""
+    from semloc import config, pipeline
+    doc = config.preset("nominal")
+    doc["scenario"]["duration"] = 3.0
+    cfg = config.from_dict(doc)
+    calls = []
+    check = lg._check_rotation
+    monkeypatch.setattr(lg, "_check_rotation", lambda r: calls.append(1) or check(r))
+    pipeline.run_scenario(cfg)
+    assert 0 < len(calls) <= 3 * cfg.scenario.n_frames

@@ -1,7 +1,9 @@
 """Property tests of the array twist API of liegroup (hypothesis).
 
 Examples are derandomized and bounded in number, so every run checks the
-same few hundred twists and the suite's time barely moves.
+same few hundred twists and the suite's time barely moves. The closed-form
+SE(3) left Jacobians are checked against their defining series, kept here
+as the reference.
 """
 
 import numpy as np
@@ -46,6 +48,29 @@ def test_left_jacobian_times_inverse_is_identity(rho, axis, angle):
     xi = _twist(rho, axis, angle)
     prod = lg.se3_left_jacobian(xi) @ lg.se3_left_jacobian_inv(xi)
     assert np.abs(prod - np.eye(6)).max() < 1e-10
+
+
+def _series_left_jacobian(xi, n_terms=60):
+    """Reference SE(3) left Jacobian: the series sum_n ad(xi)^n / (n+1)!,
+    with ad(xi) the 6x6 adjoint of se(3) in (rho; phi) order."""
+    ad = np.zeros((6, 6))
+    ad[:3, :3] = ad[3:, 3:] = lg.so3_wedge(xi[3:])
+    ad[:3, 3:] = lg.so3_wedge(xi[:3])
+    term = total = np.eye(6)
+    for n in range(1, n_terms):
+        term = term @ ad / (n + 1.0)
+        total = total + term
+    return total
+
+
+@_examples(300)
+@given(rhos, axes, angles)
+def test_closed_form_left_jacobians_match_series(rho, axis, angle):
+    xi = _twist(rho, axis, angle)
+    ref = _series_left_jacobian(xi)
+    for closed, series in ((lg.se3_left_jacobian(xi), ref),
+                           (lg.se3_left_jacobian_inv(xi), np.linalg.inv(ref))):
+        assert np.abs(closed - series).max() <= 1e-11 * np.abs(series).max()
 
 
 @_examples(100)
