@@ -461,6 +461,7 @@ def correct(state_pred: EstimatorState, bundle: MeasurementBundle,
     a_mat, _, _ = _normal_equations(prior, terms, p_inv)
     cov = np.linalg.inv(a_mat)
     cov = 0.5 * (cov + cov.T)
-    # the kept state re-enters through the checked constructor, once per frame
+    # Products are unchecked: re-check the kept poses once per frame, so that
+    # rounding drift in their rotations is repaired before it accumulates.
     t_vm, varpi, t_gm = x
     return EstimatorState(Pose(t_vm.t), varpi, Pose(t_gm.t), cov)
