@@ -240,11 +240,11 @@ def _lane_projection(match: LaneMatch, y: np.ndarray, t_vm: Pose, cam: CameraMod
     p_v = act(t_vm, np.asarray(match.segment_map, dtype=float))
     q = act(cam.t_cv, p_v)
     near = NEAR_PLANE + 1e-6
-    behind = q[:, 2] <= near
-    if behind.all():
+    a_behind, b_behind = q[:, 2] <= near
+    if a_behind and b_behind:
         raise BehindCamera("lane segment behind camera")
-    if behind.any():
-        i = int(behind[1])  # the endpoint behind the plane; 1 - i is in front
+    if a_behind or b_behind:
+        i = int(b_behind)  # the endpoint behind the plane; 1 - i is in front
         s = (near - q[i, 2]) / (q[1 - i, 2] - q[i, 2])
         p_v[i] += s * (p_v[1 - i] - p_v[i])
         q[i] += s * (q[1 - i] - q[i])
