@@ -22,8 +22,6 @@ from .geometry import (  # noqa: F401
     CameraModel,
     DegenerateLine,
     HorizontalLine,
-    ImageLine,
-    Pixel,
     line_x_at_y,
     point_projection_jacobian,
     project_point,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ImageLine, Pixel
 from .semantic_map import point_segment_distance
 
 
@@ -29,7 +28,7 @@ class LightMatch:
 @dataclass(frozen=True)
 class LaneMatch:
     lane_id: int
-    fitted: ImageLine
+    fitted: np.ndarray  # (2, 2) read-only line through two pixels
     support: int
     # Map-frame endpoints of the matched polyline segment; the estimator
     # re-projects them at each linearization point.
@@ -53,7 +52,7 @@ def associate_lights(detections: np.ndarray, candidates, gate: float, icp_iters:
     final one-to-one greedy assignment gates on the aligned distances but
     records the original unshifted detection pixels.
 
-    candidates: list of (light_id, projected Pixel).
+    candidates: list of (light_id, projected pixel (2,)).
     Returns (matches, outliers (K, 2)).
     """
     if gate <= 0:
@@ -62,7 +61,7 @@ def associate_lights(detections: np.ndarray, candidates, gate: float, icp_iters:
     if not len(detections) or not candidates:
         return [], detections
 
-    cand = np.array([[p.u, p.v] for _, p in candidates])
+    cand = np.array([px for _, px in candidates])
 
     shift = np.zeros(2)
     for _ in range(icp_iters):
@@ -97,8 +96,8 @@ def associate_lights(detections: np.ndarray, candidates, gate: float, icp_iters:
 def match_lane_pixels(pixels: np.ndarray, projected, gate: float):
     """Assign each pixel of (N, 2) to the lane of its nearest projected segment.
 
-    projected: list of (lane_id, segments) where each segment has .p0/.p1
-    pixels. Pixels farther than gate from every segment are outliers;
+    projected: list of (lane_id, segments (K, 2, 2)), each segment a pair
+    of end pixels. Pixels farther than gate from every segment are outliers;
     ties within 1e-9 go to the smaller lane_id.
 
     Returns (assignments: dict lane_id -> (k, 2) pixels, outliers (K, 2)),
@@ -107,12 +106,11 @@ def match_lane_pixels(pixels: np.ndarray, projected, gate: float):
     if gate <= 0:
         raise ValueError("gate must be positive")
     # sorted by lane id, so the first near-minimal segment has the smallest tied id
-    segments = [(lane_id, seg) for lane_id, segs in sorted(projected, key=lambda x: x[0])
-                for seg in segs]
-    if not len(pixels) or not segments:
+    projected = sorted(projected, key=lambda x: x[0])
+    lane_ids = np.array([lane_id for lane_id, segs in projected for _ in segs])
+    if not len(pixels) or not len(lane_ids):
         return {}, pixels
-    lane_ids = np.array([lane_id for lane_id, _ in segments])
-    ends = np.array([[[s.p0.u, s.p0.v], [s.p1.u, s.p1.v]] for _, s in segments])
+    ends = np.concatenate([segs for _, segs in projected])
     dist = point_segment_distance(pixels[:, None], ends[:, 0], ends[:, 1])
     best_d = dist.min(axis=1)
     best_id = lane_ids[np.argmax(dist <= best_d[:, None] + 1e-9, axis=1)]
@@ -124,8 +122,9 @@ def match_lane_pixels(pixels: np.ndarray, projected, gate: float):
     return assignments, pixels[~inlier]
 
 
-def fit_line(pixels: np.ndarray) -> ImageLine:
-    """Total-least-squares line through the pixels (k, 2) (orthogonal residuals).
+def fit_line(pixels: np.ndarray) -> np.ndarray:
+    """Total-least-squares line through the pixels (k, 2) (orthogonal residuals),
+    as a read-only (2, 2) array of its two extreme pixels.
 
     TLS handles near-vertical lane projections where u-on-v regression
     would be the stable choice and v-on-u would not; it is symmetric in
@@ -144,4 +143,8 @@ def fit_line(pixels: np.ndarray) -> ImageLine:
     proj = centered @ direction
     lo = mean + proj.min() * direction
     hi = mean + proj.max() * direction
-    return ImageLine(Pixel(*lo), Pixel(*hi))
+    if np.hypot(*(hi - lo)) <= 1e-6:
+        raise DegenerateInput("line ends coincide")
+    line = np.array([lo, hi])
+    line.flags.writeable = False
+    return line

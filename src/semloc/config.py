@@ -56,8 +56,15 @@ class EstimatorParams:
             raise ConfigError("subsample_stride, min_lane_support and max_iters must be >= 1")
         if self.icp_iters < 0:
             raise ConfigError("icp_iters must be >= 0")
-        if min(self.light_gate, self.lane_gate, self.light_radius, self.lane_radius) <= 0:
-            raise ConfigError("gates and radii must be positive")
+        if not all(x > 0 for x in (self.light_gate, self.lane_gate,
+                                   self.light_radius, self.lane_radius)):
+            raise ConfigError("gates and radii must be positive")  # NaN fails too
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError("tol must be positive and finite")
+        if not 0.0 < self.bottom_fraction <= 1.0:
+            raise ConfigError("bottom_fraction must be in (0, 1]")
+        if not 0.0 <= self.min_line_angle_deg < 90.0:
+            raise ConfigError("min_line_angle_deg must be in [0, 90)")
 
 
 @dataclass(frozen=True)

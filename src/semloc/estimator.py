@@ -21,9 +21,7 @@ from .geometry import (
     CameraModel,
     DegenerateLine,
     HorizontalLine,
-    ImageLine,
     NEAR_PLANE,
-    Pixel,
     line_x_at_y,
     pinhole,
     point_projection_jacobian,
@@ -217,7 +215,7 @@ def _light_position(match: LightMatch, smap: SemanticMap) -> np.ndarray:
 def light_error(match: LightMatch, t_vm: Pose, smap: SemanticMap,
                 cam: CameraModel) -> np.ndarray:
     """Reprojection residual: detection pixel minus projected map light."""
-    return match.detection - project_point(_light_position(match, smap), t_vm, cam).vec
+    return match.detection - project_point(_light_position(match, smap), t_vm, cam)
 
 
 def _light_jacobian(match: LightMatch, t_vm: Pose, smap: SemanticMap,
@@ -229,7 +227,7 @@ def _light_jacobian(match: LightMatch, t_vm: Pose, smap: SemanticMap,
 
 
 def _lane_projection(match: LaneMatch, y: np.ndarray, t_vm: Pose, cam: CameraModel):
-    """Lane residual at rows y, the projected endpoint pixels a and b, and
+    """Lane residual at rows y, the projected endpoint pixels (2, 2), and
     their vehicle- and camera-frame points p_v and q (2, 3).
 
     The match's map-frame segment is re-projected each call, one transform
@@ -248,9 +246,9 @@ def _lane_projection(match: LaneMatch, y: np.ndarray, t_vm: Pose, cam: CameraMod
         s = (near - q[i, 2]) / (q[1 - i, 2] - q[i, 2])
         p_v[i] += s * (p_v[1 - i] - p_v[i])
         q[i] += s * (q[1 - i] - q[i])
-    a, b = Pixel(*pinhole(q[0], cam)), Pixel(*pinhole(q[1], cam))
-    e = line_x_at_y(match.fitted, y) - line_x_at_y(ImageLine(a, b), y)
-    return e, a, b, p_v, q
+    px = pinhole(q, cam)
+    e = line_x_at_y(match.fitted, y) - line_x_at_y(px, y)
+    return e, px, p_v, q
 
 
 def lane_error(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel) -> np.ndarray:
@@ -261,12 +259,13 @@ def lane_error(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel) -> np.nda
 
 def _lane_jacobian(match: LaneMatch, y_rows, t_vm: Pose, cam: CameraModel):
     y = np.asarray(y_rows, dtype=float).reshape(2)
-    e, a, b, p_v, q = _lane_projection(match, y, t_vm, cam)
-    dv, du = b.v - a.v, b.u - a.u
-    s = (y - a.v) / dv
+    e, px, p_v, q = _lane_projection(match, y, t_vm, cam)
+    (a_u, a_v), (b_u, b_v) = px
+    dv, du = b_v - a_v, b_u - a_u
+    s = (y - a_v) / dv
     # d x(y) / d (a_u, a_v, b_u, b_v) for each requested row
-    m = np.column_stack([1.0 - s, du * (y - b.v) / (dv * dv), s,
-                         -du * (y - a.v) / (dv * dv)])
+    m = np.column_stack([1.0 - s, du * (y - b_v) / (dv * dv), s,
+                         -du * (y - a_v) / (dv * dv)])
     jac = np.vstack([pose_jacobian_at(p_v[k], q[k], cam) for k in (0, 1)])
     h = np.zeros((2, STATE_DIM))
     h[:, 0:6] = -m @ jac

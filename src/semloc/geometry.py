@@ -2,7 +2,9 @@
 
 Camera convention (single source of truth for the whole package):
 z forward, x right, y down in the camera frame. Pixel origin is the
-top-left image corner, u horizontal, v vertical.
+top-left image corner, u horizontal, v vertical. A pixel is a (2,) array
+(u, v); an image line or segment is a (2, 2) array whose rows are its two
+end pixels.
 """
 
 from __future__ import annotations
@@ -30,48 +32,6 @@ class DegenerateLine(ValueError):
 
 
 @dataclass(frozen=True)
-class Pixel:
-    """A projected map point or an image-line endpoint; detections are (N, 2) arrays."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ValueError("pixel coordinates must be finite")
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-
-@dataclass(frozen=True)
-class ImageLine:
-    """Infinite image-space line through two distinct pixels."""
-
-    p0: Pixel
-    p1: Pixel
-
-    def __post_init__(self):
-        sep = np.hypot(self.p1.u - self.p0.u, self.p1.v - self.p0.v)
-        if sep <= 1e-6:
-            raise DegenerateLine("defining pixels must be distinct")
-
-
-@dataclass(frozen=True)
-class ImageSegment:
-    """Clipped visible piece of a projected polyline segment.
-
-    source_index is the index of the generating polyline segment
-    (vertices[source_index] -> vertices[source_index + 1]).
-    """
-
-    p0: Pixel
-    p1: Pixel
-    source_index: int
-
-
-@dataclass(frozen=True)
 class CameraModel:
     fx: float
     fy: float
@@ -82,8 +42,8 @@ class CameraModel:
     t_cv: Pose  # camera-from-vehicle extrinsic
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):  # NaN fails too
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
@@ -98,12 +58,12 @@ def pinhole(q: np.ndarray, cam: CameraModel) -> np.ndarray:
     return (cam.fx, cam.fy) * q[..., :2] / q[..., 2:] + (cam.cx, cam.cy)
 
 
-def project_point(p_m, t_vm: Pose, cam: CameraModel) -> Pixel:
-    """Perspective projection of a map-frame point; may land outside the image."""
+def project_point(p_m, t_vm: Pose, cam: CameraModel) -> np.ndarray:
+    """Pixel (2,) of a map-frame point; it may land outside the image."""
     q = camera_point(p_m, t_vm, cam)
     if q[2] <= NEAR_PLANE:
         raise BehindCamera(f"depth {q[2]:.4f} <= {NEAR_PLANE}")
-    return Pixel(*pinhole(q, cam))
+    return pinhole(q, cam)
 
 
 def _clip_2d(p0: np.ndarray, p1: np.ndarray, width: float, height: float):
@@ -130,16 +90,18 @@ def _clip_2d(p0: np.ndarray, p1: np.ndarray, width: float, height: float):
     return p0 + t0 * d, p0 + t1 * d
 
 
-def project_polyline(vertices, t_vm: Pose, cam: CameraModel) -> list[ImageSegment]:
+def project_polyline(vertices, t_vm: Pose, cam: CameraModel):
     """Project a map-frame polyline, clipping against the near plane and image rectangle.
 
-    Returns one ImageSegment per (partially) visible polyline segment;
-    an empty list means the polyline is fully invisible.
+    Returns (segments (K, 2, 2), source (K,)): the end pixels of each
+    (partially) visible piece, and the index i of the polyline segment
+    vertices[i] -> vertices[i + 1] it comes from. K = 0 means the polyline
+    is fully invisible.
     """
     vertices = np.asarray(vertices, dtype=float)
     if len(vertices) < 2:
         raise ValueError("polyline needs at least 2 vertices")
-    out = []
+    segments, source = [], []
     cam_pts = camera_point(vertices, t_vm, cam)
     for i in range(len(vertices) - 1):
         a, b = cam_pts[i], cam_pts[i + 1]
@@ -164,18 +126,21 @@ def project_polyline(vertices, t_vm: Pose, cam: CameraModel) -> list[ImageSegmen
         q0, q1 = clipped
         if np.hypot(*(q1 - q0)) <= 1e-9:
             continue
-        out.append(ImageSegment(Pixel(*q0), Pixel(*q1), i))
-    return out
+        segments.append(clipped)
+        source.append(i)
+    return np.reshape(segments, (-1, 2, 2)), np.array(source, dtype=int)
 
 
-def line_x_at_y(line: ImageLine, y_i) -> np.ndarray:
-    """Column coordinates where the line crosses the given rows."""
+def line_x_at_y(line: np.ndarray, y_i) -> np.ndarray:
+    """Column coordinates where the line (2, 2) crosses the given rows."""
     y_i = np.asarray(y_i, dtype=float).reshape(-1)
-    dv = line.p1.v - line.p0.v
+    (u0, v0), (u1, v1) = line
+    du, dv = u1 - u0, v1 - v0
+    if np.hypot(du, dv) <= 1e-6:
+        raise DegenerateLine("defining pixels must be distinct")
     if abs(dv) <= 1e-6:
         raise HorizontalLine("line is horizontal in image space")
-    du = line.p1.u - line.p0.u
-    return line.p0.u + (y_i - line.p0.v) * du / dv
+    return u0 + (y_i - v0) * du / dv
 
 
 def pixel_jacobian_wrt_camera_point(q: np.ndarray, cam: CameraModel) -> np.ndarray:

@@ -24,10 +24,10 @@ class RunResult:
     gn_objectives: list  # per frame: list of (J_before, J_accepted) pairs
 
 
-def _line_angle_ok(p0, p1, min_angle_deg: float) -> bool:
-    """True when the image line is steep enough for the x-at-y parameterization."""
-    du = abs(p1.u - p0.u)
-    dv = abs(p1.v - p0.v)
+def _line_angle_ok(line, min_angle_deg: float) -> bool:
+    """True when the image line (2, 2) is steep enough for the x-at-y
+    parameterization."""
+    du, dv = np.abs(line[1] - line[0])
     return dv > 1e-9 and np.degrees(np.arctan2(dv, du)) >= min_angle_deg
 
 
@@ -44,25 +44,28 @@ def associate_frame(sensor, state_pred, smap, cam, params, dt):
         except BehindCamera:
             continue
         margin = 2 * params.light_gate
-        if -margin <= px.u < cam.width + margin and -margin <= px.v < cam.height + margin:
+        u, v = px
+        if -margin <= u < cam.width + margin and -margin <= v < cam.height + margin:
             candidates.append((light.id, px))
     light_matches, _ = association.associate_lights(
         sensor.light_pixels, candidates, params.light_gate, params.icp_iters
     )
 
     # Lane boundaries: project, subsample detections, match, fit lines.
-    projected = []
-    lane_vertices = {}
+    # visible: lane id -> (segments (K, 2, 2), source (K,), vertices)
+    visible = {}
     for lane in nearby_lanes(smap, origin, params.lane_radius):
-        segments = project_polyline(lane.vertices, t_vm, cam)
-        if segments:
-            projected.append((lane.id, segments))
-            lane_vertices[lane.id] = lane.vertices
+        segments, source = project_polyline(lane.vertices, t_vm, cam)
+        if len(segments):
+            visible[lane.id] = (segments, source, lane.vertices)
     pixels = association.subsample_pixels(
         sensor.lane_pixels, params.subsample_stride, params.bottom_fraction,
         cam.height,
     )
-    assignments, _ = association.match_lane_pixels(pixels, projected, params.lane_gate)
+    assignments, _ = association.match_lane_pixels(
+        pixels, [(lane_id, segs) for lane_id, (segs, _, _) in visible.items()],
+        params.lane_gate,
+    )
 
     lane_matches = []
     for lane_id in sorted(assignments):
@@ -73,27 +76,20 @@ def associate_frame(sensor, state_pred, smap, cam, params, dt):
             fitted = association.fit_line(support)
         except association.DegenerateInput:
             continue
-        if not _line_angle_ok(fitted.p0, fitted.p1, params.min_line_angle_deg):
+        if not _line_angle_ok(fitted, params.min_line_angle_deg):
             continue
-        segments = dict(projected)[lane_id]
-        mid = np.array([
-            (fitted.p0.u + fitted.p1.u) / 2.0,
-            (fitted.p0.v + fitted.p1.v) / 2.0,
-        ])
-        best = min(
-            segments,
-            key=lambda s: np.linalg.norm(
-                mid - np.array([(s.p0.u + s.p1.u) / 2.0, (s.p0.v + s.p1.v) / 2.0])
-            ),
-        )
-        if not _line_angle_ok(best.p0, best.p1, params.min_line_angle_deg):
+        segments, source, verts = visible[lane_id]
+        # the piece whose midpoint is nearest the fitted line's; first on a tie
+        mid = (fitted[0] + fitted[1]) / 2.0
+        k = np.argmin(np.linalg.norm(mid - (segments[:, 0] + segments[:, 1]) / 2.0, axis=1))
+        best = segments[k]
+        if not _line_angle_ok(best, params.min_line_angle_deg):
             continue
-        verts = lane_vertices[lane_id]
-        seg_map = (verts[best.source_index].copy(), verts[best.source_index + 1].copy())
+        i = source[k]
+        seg_map = (verts[i].copy(), verts[i + 1].copy())
         # Measurement rows: 60% / 90% image height, clipped to the visible
         # vertical extent of the projected segment.
-        v_lo = min(best.p0.v, best.p1.v)
-        v_hi = max(best.p0.v, best.p1.v)
+        v_lo, v_hi = sorted(best[:, 1])
         if v_hi - v_lo < 5.0:
             continue
         y_rows = np.array([
@@ -102,15 +98,8 @@ def associate_frame(sensor, state_pred, smap, cam, params, dt):
         ])
         if abs(y_rows[1] - y_rows[0]) < 1.0:
             continue
-        lane_matches.append((
-            LaneMatch(
-                lane_id=lane_id,
-                fitted=fitted,
-                support=len(support),
-                segment_map=seg_map,
-            ),
-            y_rows,
-        ))
+        match = LaneMatch(lane_id, fitted, support=len(support), segment_map=seg_map)
+        lane_matches.append((match, y_rows))
 
     return estimator.MeasurementBundle(
         dt=dt,

@@ -58,12 +58,13 @@ class Scenario:
     offset_drift_rot_std: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.duration < np.inf:
-            raise ValueError("duration must be positive and finite")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
-        if not self.speed > 0:
-            raise ValueError("speed must be positive")
+        positive = ("duration", "rate", "speed", "block_size", "lane_spacing",
+                    "turn_radius")
+        bad = [name for name in positive if not 0.0 < getattr(self, name) < np.inf]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be positive and finite")
+        if not self.turn_radius < (self.block_size + self.lane_spacing) / 2.0:
+            raise ValueError("turn_radius must be below (block_size + lane_spacing) / 2")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         if not 0.0 <= self.outlier_rate <= 1.0:

@@ -145,7 +145,7 @@ def test_jacobian_suite():
                      est.gps_error(gps, tv, tg)]
             if light is not None:
                 from semloc.association import LightMatch
-                det = project_point(light.position, t_vm, cam).vec
+                det = project_point(light.position, t_vm, cam)
                 parts.append(est.light_error(
                     LightMatch(det, light.id), tv, smap, cam))
             parts.append(est.wheel_error((8.0, 0.1), vp))
@@ -158,7 +158,7 @@ def test_jacobian_suite():
         rows = [h_gps]
         if light is not None:
             from semloc.association import LightMatch
-            det = project_point(light.position, t_vm, cam).vec
+            det = project_point(light.position, t_vm, cam)
             _, h_light = est._light_jacobian(
                 LightMatch(det, light.id), t_vm, smap, cam)
             rows.append(h_light)
@@ -193,8 +193,8 @@ def test_jacobian_suite():
                 plus = lg.compose(lg.exp_se3(d6), t_vm)
                 minus = lg.compose(lg.exp_se3(-d6), t_vm)
                 fd_proj[:, i] = (
-                    project_point(light.position, plus, cam).vec
-                    - project_point(light.position, minus, cam).vec
+                    project_point(light.position, plus, cam)
+                    - project_point(light.position, minus, cam)
                 ) / (2 * h)
             worst["projection"] = max(worst["projection"], rel(j_proj, fd_proj))
 

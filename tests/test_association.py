@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from semloc import association as assoc
-from semloc.geometry import ImageSegment, Pixel
 
 
 def _has_row(rows, px) -> bool:
@@ -34,7 +33,7 @@ def test_subsample_stride():
 
 def test_associate_exact_hit():
     det = np.array([[100.0, 200.0]])
-    cand = [(7, Pixel(100.0, 200.0))]
+    cand = [(7, np.array([100.0, 200.0]))]
     matches, outliers = assoc.associate_lights(det, cand, gate=10.0, icp_iters=3)
     assert len(matches) == 1 and not len(outliers)
     assert matches[0].light_id == 7
@@ -43,7 +42,7 @@ def test_associate_exact_hit():
 
 def test_associate_beyond_gate_is_outlier():
     det = np.array([[0.0, 0.0]])
-    cand = [(1, Pixel(20.0, 0.0))]
+    cand = [(1, np.array([20.0, 0.0]))]
     matches, outliers = assoc.associate_lights(det, cand, gate=10.0, icp_iters=0)
     assert not matches and np.array_equal(outliers, det)
 
@@ -51,10 +50,10 @@ def test_associate_beyond_gate_is_outlier():
 def test_associate_icp_recovers_constant_shift(rng):
     # 5 detections = candidates shifted by (30, 0); gate smaller than the
     # shift still matches all 5 because the gate applies after alignment.
-    cand_px = [Pixel(float(u), float(v)) for u, v in
+    cand_px = [np.array([float(u), float(v)]) for u, v in
                [(100, 100), (300, 120), (500, 90), (700, 140), (900, 110)]]
     candidates = [(i, p) for i, p in enumerate(cand_px)]
-    detections = np.array([[p.u + 30.0, p.v] for p in cand_px])
+    detections = np.array([[p[0] + 30.0, p[1]] for p in cand_px])
     matches, outliers = assoc.associate_lights(detections, candidates, gate=20.0,
                                              icp_iters=3)
     assert not len(outliers) and len(matches) == 5
@@ -62,7 +61,7 @@ def test_associate_icp_recovers_constant_shift(rng):
     best = min(
         itertools.permutations(range(5)),
         key=lambda perm: sum(
-            np.hypot(detections[i, 0] - cand_px[j].u, detections[i, 1] - cand_px[j].v)
+            np.hypot(detections[i, 0] - cand_px[j][0], detections[i, 1] - cand_px[j][1])
             for i, j in enumerate(perm)
         ),
     )
@@ -74,8 +73,8 @@ def test_associate_icp_recovers_constant_shift(rng):
 
 
 def test_associate_empty_inputs():
-    matches, outliers = assoc.associate_lights(np.empty((0, 2)), [(1, Pixel(0, 0))],
-                                               10.0, 3)
+    matches, outliers = assoc.associate_lights(np.empty((0, 2)),
+                                               [(1, np.array([0.0, 0.0]))], 10.0, 3)
     assert matches == [] and outliers.shape == (0, 2)
     det = np.array([[1.0, 2.0]])
     matches, outliers = assoc.associate_lights(det, [], 10.0, 3)
@@ -83,18 +82,18 @@ def test_associate_empty_inputs():
 
 
 def test_match_lane_pixel_on_segment():
-    seg = ImageSegment(Pixel(0.0, 0.0), Pixel(100.0, 0.0), 0)
+    seg = np.array([[0.0, 0.0], [100.0, 0.0]])
     assignments, outliers = assoc.match_lane_pixels(
-        np.array([[50.0, 0.0]]), [(3, [seg])], gate=5.0
+        np.array([[50.0, 0.0]]), [(3, seg[None])], gate=5.0
     )
     assert list(assignments) == [3] and not len(outliers)
 
 
 def test_match_lane_tie_goes_to_smaller_id():
-    seg_a = ImageSegment(Pixel(0.0, 0.0), Pixel(100.0, 0.0), 0)
-    seg_b = ImageSegment(Pixel(0.0, 10.0), Pixel(100.0, 10.0), 0)
+    seg_a = np.array([[0.0, 0.0], [100.0, 0.0]])
+    seg_b = np.array([[0.0, 10.0], [100.0, 10.0]])
     assignments, _ = assoc.match_lane_pixels(
-        np.array([[50.0, 5.0]]), [(9, [seg_b]), (2, [seg_a])], gate=20.0
+        np.array([[50.0, 5.0]]), [(9, seg_b[None]), (2, seg_a[None])], gate=20.0
     )
     assert list(assignments) == [2]
 
@@ -104,7 +103,7 @@ def test_match_lane_matches_brute_force(rng):
     for lane_id in range(4):
         p0 = rng.uniform(0, 640, 2)
         p1 = p0 + rng.uniform(-200, 200, 2)
-        segments.append((lane_id, [ImageSegment(Pixel(*p0), Pixel(*p1), 0)]))
+        segments.append((lane_id, np.array([[p0, p1]])))
     pixels = rng.uniform(0, 640, (200, 2))
     gate = 80.0
     assignments, outliers = assoc.match_lane_pixels(pixels, segments, gate)
@@ -112,7 +111,7 @@ def test_match_lane_matches_brute_force(rng):
     def dist(px, seg):
         from semloc.semantic_map import point_segment_distance
         return point_segment_distance(
-            px, [seg.p0.u, seg.p0.v], [seg.p1.u, seg.p1.v]
+            px, [seg[0][0], seg[0][1]], [seg[1][0], seg[1][1]]
         )
 
     for px in pixels:
@@ -127,16 +126,17 @@ def test_match_lane_matches_brute_force(rng):
 def _segment_distance(px, seg) -> float:
     """One pixel (u, v) to one non-degenerate segment, in plain Python."""
     u, v = px
-    du, dv = seg.p1.u - seg.p0.u, seg.p1.v - seg.p0.v
-    s = ((u - seg.p0.u) * du + (v - seg.p0.v) * dv) / (du * du + dv * dv)
+    (u0, v0), (u1, v1) = seg
+    du, dv = u1 - u0, v1 - v0
+    s = ((u - u0) * du + (v - v0) * dv) / (du * du + dv * dv)
     s = min(max(s, 0.0), 1.0)
-    return math.hypot(u - (seg.p0.u + s * du), v - (seg.p0.v + s * dv))
+    return math.hypot(u - (u0 + s * du), v - (v0 + s * dv))
 
 
 def test_match_lane_brute_force_several_segments_and_tie(rng):
     def polyline(points):
-        return [ImageSegment(Pixel(*p0), Pixel(*p1), i)
-                for i, (p0, p1) in enumerate(zip(points[:-1], points[1:]))]
+        points = np.asarray(points)
+        return np.stack([points[:-1], points[1:]], axis=1)
 
     # lanes 8 and 4 run 50 px either side of the row v = 150 over u in
     # [0, 640], so pixels on that row tie exactly; the other lanes keep to
@@ -166,7 +166,7 @@ def test_match_lane_brute_force_several_segments_and_tie(rng):
 def test_fit_line_through_two_pixels():
     line = assoc.fit_line(np.array([[0.0, 0.0], [10.0, 20.0]]))
     # direction matches the chord
-    du, dv = line.p1.u - line.p0.u, line.p1.v - line.p0.v
+    du, dv = line[1, 0] - line[0, 0], line[1, 1] - line[0, 1]
     assert abs(du * 20.0 - dv * 10.0) < 1e-9
 
 
@@ -186,3 +186,10 @@ def test_fit_line_degenerate():
         assoc.fit_line(np.array([[1.0, 1.0]]))
     with pytest.raises(assoc.DegenerateInput):
         assoc.fit_line(np.full((5, 2), 1.0))
+    # 99 pixels spread 0.95e-6 px along u and one 1.05e-6 px off that row at
+    # its middle: the pixels pass the 1e-6 spread test, the fitted line's two
+    # ends do not
+    row = np.column_stack([np.linspace(0.0, 0.95e-6, 99), np.zeros(99)])
+    pixels = np.vstack([row, [[0.475e-6, 1.05e-6]]]) + (600.0, 400.0)
+    with pytest.raises(assoc.DegenerateInput):
+        assoc.fit_line(pixels)

@@ -108,11 +108,37 @@ def test_config_json_reruns_byte_for_byte(tmp_path):
     ("noise", "r_lane_diag", [-4.0, -4.0]),
     ("noise", "q_c_diag", [-1.0] * 6),
     ("scenario", "duration", float("nan")),
+    ("camera", "fx", float("nan")),
+    ("camera", "fy", float("inf")),
+    ("scenario", "rate", float("inf")),
+    ("scenario", "speed", float("inf")),
+    ("scenario", "block_size", float("nan")),
+    ("scenario", "lane_spacing", float("inf")),
+    ("scenario", "turn_radius", 0),
+    ("scenario", "turn_radius", -5),
+    ("scenario", "block_size", 0),
+    ("scenario", "lane_spacing", 0),
+    ("scenario", "turn_radius", 62.0),
+    ("estimator", "tol", -1),
+    ("estimator", "tol", float("nan")),
+    ("estimator", "tol", float("inf")),
+    ("estimator", "light_gate", float("nan")),
+    ("estimator", "lane_radius", float("nan")),
+    ("estimator", "bottom_fraction", 0),
+    ("estimator", "bottom_fraction", 2),
+    ("estimator", "min_line_angle_deg", 95),
+    ("estimator", "min_line_angle_deg", float("nan")),
 ], ids=["dropout_schedule", "cov0_diag", "offset", "scenario", "seed",
         "max_iters", "subsample_stride", "light_gate", "lane_radius",
         "outlier_rate", "detection_noise_px", "gps_noise_trans_std",
         "wheel_noise_v_std", "seed_negative", "speed_zero", "max_iters_negative",
-        "icp_iters_negative", "r_lane_not_pd", "q_c_not_pd", "duration_nan"])
+        "icp_iters_negative", "r_lane_not_pd", "q_c_not_pd", "duration_nan",
+        "fx_nan", "fy_inf", "rate_inf", "speed_inf", "block_size_nan",
+        "lane_spacing_inf", "turn_radius_zero", "turn_radius_negative",
+        "block_size_zero", "lane_spacing_zero", "turn_radius_above_half_block",
+        "tol_negative", "tol_nan", "tol_inf", "light_gate_nan", "lane_radius_nan",
+        "bottom_fraction_zero", "bottom_fraction_above_one",
+        "min_line_angle_95", "min_line_angle_nan"])
 def test_config_malformed_value(tmp_path, section, key, value):
     doc = cm.preset("nominal")
     (doc[section] if section else doc)[key] = value

@@ -7,7 +7,7 @@ from semloc import estimator as est
 from semloc import liegroup as lg
 from semloc import simulator as sim
 from semloc.association import LightMatch
-from semloc.geometry import DegenerateLine, Pixel, project_point
+from semloc.geometry import DegenerateLine, project_point
 
 
 CAM = sim.default_camera()
@@ -111,7 +111,7 @@ def test_light_error_zero_at_projection(rng):
         l for l in smap.lights
         if len(sim._visible_pixels(l.position, t_vm, CAM, 100.0))
     )
-    match = LightMatch(project_point(light.position, t_vm, CAM).vec, light.id)
+    match = LightMatch(project_point(light.position, t_vm, CAM), light.id)
     assert np.abs(est.light_error(match, t_vm, smap, CAM)).max() < 1e-12
 
 
@@ -141,25 +141,23 @@ def test_light_errors_zero_noise_simulation():
 
 def test_lane_error_zero_and_shift(rng):
     from semloc.association import LaneMatch
-    from semloc.geometry import ImageLine
     scenario = sim.Scenario()
     smap = sim.generate_world(scenario)
     t_vm = sim.generate_trajectory(scenario, smap)[100].t_vm_true
     from semloc.geometry import project_polyline
-    lane, seg = next(
-        (lane, s)
+    lane, seg, i = next(
+        (lane, s, i)
         for lane in smap.lanes
-        for s in project_polyline(lane.vertices, t_vm, CAM)
-        if abs(s.p1.v - s.p0.v) > 40
+        for s, i in zip(*project_polyline(lane.vertices, t_vm, CAM))
+        if abs(s[1, 1] - s[0, 1]) > 40
     )
-    projected = ImageLine(seg.p0, seg.p1)
-    seg_map = (lane.vertices[seg.source_index], lane.vertices[seg.source_index + 1])
-    y_rows = np.sort([seg.p0.v, seg.p1.v]) @ np.array([[0.7, 0.2], [0.3, 0.8]])
-    exact = LaneMatch(lane.id, projected, 10, seg_map)
+    seg_map = (lane.vertices[i], lane.vertices[i + 1])
+    y_rows = np.sort([seg[0, 1], seg[1, 1]]) @ np.array([[0.7, 0.2], [0.3, 0.8]])
+    exact = LaneMatch(lane.id, seg, 10, seg_map)
     assert np.abs(est.lane_error(exact, y_rows, t_vm, CAM)).max() < 1e-9
     shifted = LaneMatch(
         lane.id,
-        ImageLine(Pixel(seg.p0.u + 5.0, seg.p0.v), Pixel(seg.p1.u + 5.0, seg.p1.v)),
+        np.array([[seg[0, 0] + 5.0, seg[0, 1]], [seg[1, 0] + 5.0, seg[1, 1]]]),
         10, seg_map,
     )
     assert np.allclose(est.lane_error(shifted, y_rows, t_vm, CAM),
@@ -419,11 +417,10 @@ def _lane_match_along_ray(t_vm):
     """A lane match whose map segment lies on one camera ray, so both
     endpoints project to the same pixel."""
     from semloc.association import LaneMatch
-    from semloc.geometry import ImageLine
     to_map = lg.inverse(lg.compose(CAM.t_cv, t_vm))
     q = np.array([0.5, 0.3, 5.0])
     segment = (lg.act(to_map, q), lg.act(to_map, 2.0 * q))
-    fitted = ImageLine(Pixel(600.0, 300.0), Pixel(620.0, 400.0))
+    fitted = np.array([[600.0, 300.0], [620.0, 400.0]])
     return LaneMatch(0, fitted, 10, segment), np.array([320.0, 380.0])
 
 
@@ -460,8 +457,7 @@ def test_measurement_bundle_validation():
     with pytest.raises(ValueError):
         est.MeasurementBundle(dt=0.0)
     from semloc.association import LaneMatch
-    from semloc.geometry import ImageLine
-    line = ImageLine(Pixel(0.0, 0.0), Pixel(0.0, 10.0))
+    line = np.array([[0.0, 0.0], [0.0, 10.0]])
     match = LaneMatch(0, line, 6, (np.zeros(3), np.ones(3)))
     with pytest.raises(ValueError):
         est.MeasurementBundle(dt=0.1, lane_matches=((match, [5.0, 5.0]),))

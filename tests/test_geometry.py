@@ -22,15 +22,15 @@ def test_optical_axis_projects_to_principal_point():
     cam = simple_camera()
     for depth in (0.5, 3.0, 100.0):
         px = geo.project_point([depth, 0.0, 0.0], lg.Pose.identity(), cam)
-        assert np.allclose(px.vec, [320.0, 240.0], atol=1e-12)
+        assert np.allclose(px, [320.0, 240.0], atol=1e-12)
 
 
 def test_pinhole_hand_arithmetic():
     # point 5 m ahead, 1 m to the right: u = 320 + 500 * (1/5) = 420
     cam = simple_camera()
     px = geo.project_point([5.0, -1.0, 0.0], lg.Pose.identity(), cam)
-    assert abs(px.u - 420.0) < 1e-12
-    assert abs(px.v - 240.0) < 1e-12
+    assert abs(px[0] - 420.0) < 1e-12
+    assert abs(px[1] - 240.0) < 1e-12
 
 
 def test_behind_camera_raises():
@@ -42,14 +42,15 @@ def test_behind_camera_raises():
 def test_project_polyline_fully_behind_is_empty():
     cam = simple_camera()
     verts = [[-5.0, 0.0, 0.0], [-3.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]
-    assert geo.project_polyline(verts, lg.Pose.identity(), cam) == []
+    segs, source = geo.project_polyline(verts, lg.Pose.identity(), cam)
+    assert segs.shape == (0, 2, 2) and source.shape == (0,)
 
 
 def test_project_polyline_near_plane_clip():
     cam = simple_camera()
     # segment from behind the camera to 5 m ahead, slightly off-axis
     verts = [[-2.0, 0.4, 0.0], [5.0, 0.4, 0.0]]
-    segs = geo.project_polyline(verts, lg.Pose.identity(), cam)
+    segs, _ = geo.project_polyline(verts, lg.Pose.identity(), cam)
     assert len(segs) == 1
     seg = segs[0]
     # oracle: project densely sampled visible points; every sample must lie
@@ -59,9 +60,9 @@ def test_project_polyline_near_plane_clip():
         p = (1 - s) * np.array(verts[0]) + s * np.array(verts[1])
         if p[0] > geo.NEAR_PLANE + 1e-6:
             px = geo.project_point(p, lg.Pose.identity(), cam)
-            if 0 <= px.u <= cam.width and 0 <= px.v <= cam.height:
-                us.append(px.u)
-    lo, hi = sorted([seg.p0.u, seg.p1.u])
+            if 0 <= px[0] <= cam.width and 0 <= px[1] <= cam.height:
+                us.append(px[0])
+    lo, hi = sorted([seg[0, 0], seg[1, 0]])
     assert min(us) >= lo - 0.5 and max(us) <= hi + 0.5
 
 
@@ -69,12 +70,12 @@ def test_project_polyline_clip_depth_at_near_plane():
     cam = simple_camera()
     # nearly axial segment: the near-plane crossing projects inside the image
     verts = [[-2.0, 0.001, 0.0], [5.0, 0.001, 0.0]]
-    segs = geo.project_polyline(verts, lg.Pose.identity(), cam)
+    segs, _ = geo.project_polyline(verts, lg.Pose.identity(), cam)
     assert len(segs) == 1
     seg = segs[0]
     # invert the pinhole at the clipped (widest-u-offset) endpoint:
     # u = cx - fx * y / z  =>  z = fx * y / (cx - u)
-    u_near = max(seg.p0.u, seg.p1.u, key=lambda u: abs(u - cam.cx))
+    u_near = max(seg[0, 0], seg[1, 0], key=lambda u: abs(u - cam.cx))
     depth = cam.fx * 0.001 / abs(u_near - cam.cx)
     assert abs(depth - geo.NEAR_PLANE) < 1e-6
 
@@ -82,21 +83,24 @@ def test_project_polyline_clip_depth_at_near_plane():
 def test_project_polyline_source_indices():
     cam = simple_camera()
     verts = [[2.0, -0.5, 0.0], [4.0, -0.5, 0.0], [6.0, -0.5, 0.0]]
-    segs = geo.project_polyline(verts, lg.Pose.identity(), cam)
-    assert [s.source_index for s in segs] == [0, 1]
+    _, source = geo.project_polyline(verts, lg.Pose.identity(), cam)
+    assert source.tolist() == [0, 1]
 
 
 def test_line_x_at_y_vertical_and_diagonal():
-    vert = geo.ImageLine(geo.Pixel(100.0, 0.0), geo.Pixel(100.0, 50.0))
+    vert = np.array([[100.0, 0.0], [100.0, 50.0]])
     assert np.allclose(geo.line_x_at_y(vert, [3.0, 17.0]), [100.0, 100.0])
-    diag = geo.ImageLine(geo.Pixel(0.0, 0.0), geo.Pixel(10.0, 10.0))
+    diag = np.array([[0.0, 0.0], [10.0, 10.0]])
     assert np.allclose(geo.line_x_at_y(diag, [2.0, 8.0]), [2.0, 8.0])
 
 
-def test_line_x_at_y_horizontal_raises():
-    line = geo.ImageLine(geo.Pixel(0.0, 5.0), geo.Pixel(10.0, 5.0))
-    with pytest.raises(geo.HorizontalLine):
-        geo.line_x_at_y(line, [5.0])
+@pytest.mark.parametrize("line, error", [
+    ([[0.0, 5.0], [10.0, 5.0]], geo.HorizontalLine),
+    ([[3.0, 5.0], [3.0, 5.0]], geo.DegenerateLine),
+], ids=["horizontal", "coincident"])
+def test_line_x_at_y_horizontal_raises(line, error):
+    with pytest.raises(error):
+        geo.line_x_at_y(np.array(line), [5.0])
 
 
 def test_pixel_jacobian_depth_scaling():
@@ -123,7 +127,7 @@ def test_point_projection_jacobian_matches_fd(rng):
         p_v = np.array([-rng.uniform(5, 40), rng.uniform(-5, 5), rng.uniform(0, 5)])
         p_m = lg.act(lg.inverse(pose), p_v)
         pixel, jac = geo.point_projection_jacobian(p_m, pose, cam)
-        assert np.array_equal(pixel, geo.project_point(p_m, pose, cam).vec)
+        assert np.array_equal(pixel, geo.project_point(p_m, pose, cam))
         fd = np.zeros((2, 6))
         for i in range(6):
             d = np.zeros(6)
@@ -131,8 +135,8 @@ def test_point_projection_jacobian_matches_fd(rng):
             plus = lg.compose(lg.exp_se3(d), pose)
             minus = lg.compose(lg.exp_se3(-d), pose)
             fd[:, i] = (
-                geo.project_point(p_m, plus, cam).vec
-                - geo.project_point(p_m, minus, cam).vec
+                geo.project_point(p_m, plus, cam)
+                - geo.project_point(p_m, minus, cam)
             ) / (2.0 * h)
         denom = max(1.0, np.abs(fd).max())
         assert np.abs(jac - fd).max() / denom < 1e-5
